@@ -490,8 +490,9 @@ SendHandle Engine::submit_send(NodeId dst, Tag tag, const void* data, std::size_
     // activation at the same virtual instant. Deferring to an event lets a
     // burst of submissions issued back-to-back land in the pack list before
     // the strategy is interrogated — this is what makes aggregation see the
-    // whole burst, exactly like NewMadeleine's pack list.
-    arm_progress(fabric_->now());
+    // whole burst, exactly like NewMadeleine's pack list. An armed wake
+    // stays put unless it sleeps past an idle NIC.
+    arm_wake(progress_wake_, fabric_->now(), false, &Engine::progress);
   }
   return send;
 }
@@ -607,6 +608,7 @@ void Engine::progress() {
   }
   RAILS_CHECK_MSG(strategy_ != nullptr, "traffic submitted before a strategy was installed");
   metrics_.on_progress();
+  const std::uint64_t segments_before = stats_.eager_segments;
 
   // Interrogate the strategy once per destination group, preserving the
   // first-appearance order of destinations and the submission order within
@@ -640,6 +642,7 @@ void Engine::progress() {
   for (std::size_t g = 0; g < groups_used_; ++g) {
     plan_group(std::span<const SendRequest* const>(group_sends_[g]));
   }
+  if (stats_.eager_segments == segments_before) metrics_.on_progress_empty();
 
   // Drop fully posted sends from the pack list.
   std::erase_if(pending_eager_, [](const SendHandle& s) {
@@ -859,20 +862,63 @@ void Engine::note_qos_completion(const SendRequest& send) {
 }
 
 void Engine::schedule_retry() {
-  // Re-interrogate when the earliest NIC frees up ("the packet scheduler is
-  // only activated when a NIC becomes idle in order to feed it").
-  SimTime when = kSimTimeNever;
-  for (const auto* nic : nics_) when = std::min(when, nic->busy_until());
-  arm_progress(std::max(when, fabric_->now() + 1));
+  // Re-interrogate when the earliest NIC the planner can use frees up ("the
+  // packet scheduler is only activated when a NIC becomes idle in order to
+  // feed it"). An idle quarantined NIC is no reason to wake: its lift bumps
+  // the decision epoch, which pulls the wake (note_planner_input).
+  const WakePlan plan = plan_wake(WakeScope::kPlanner);
+  arm_wake(progress_wake_, plan.at, plan.deferred, &Engine::progress);
 }
 
-void Engine::arm_progress(SimTime when) {
-  if (retry_armed_) return;
-  retry_armed_ = true;
-  fabric_->events().at(when, [this] {
-    retry_armed_ = false;
-    progress();
+Engine::WakePlan Engine::plan_wake(WakeScope scope) const {
+  const SimTime now = fabric_->now();
+  bool any_usable = false;
+  for (RailId r = 0; r < nics_.size(); ++r) any_usable = any_usable || rail_usable(r);
+  WakePlan plan;
+  for (RailId r = 0; r < nics_.size(); ++r) {
+    const SimTime busy = nics_[r]->busy_until();
+    if (rail_usable(r) || (!any_usable && scope == WakeScope::kPlanner)) {
+      plan.at = std::min(plan.at, std::max(busy, now + 1));
+    } else if (scope == WakeScope::kPlanner) {
+      if (busy > now) {
+        plan.at = std::min(plan.at, busy);
+      } else {
+        plan.deferred = true;  // idle quarantined rail: wait for its lift
+      }
+    }
+  }
+  // The stream pump posts on usable rails only; with none usable it waits
+  // for a lift.
+  if (scope == WakeScope::kStreams && !any_usable) plan.deferred = true;
+  // Sleeping exactly one nanosecond is no deferral at all.
+  if (plan.at <= now + 1) plan.deferred = false;
+  return plan;
+}
+
+void Engine::arm_wake(Wake& wake, SimTime when, bool deferred, void (Engine::*run)()) {
+  const bool armed = wake.at != kSimTimeNever;
+  if (!armed && when == kSimTimeNever) {
+    wake.deferred = deferred;  // nothing to arm: wait for an input change
+    return;
+  }
+  // An armed plain wake stands: the NIC-free instant it was armed for is
+  // the next observation point. Only a deferred wake is pulled earlier.
+  if (armed && (!wake.deferred || when >= wake.at)) return;
+  wake.at = when;
+  wake.deferred = deferred;
+  const std::uint64_t gen = ++wake.gen;
+  fabric_->events().at(when, [this, &wake, gen, run] {
+    if (wake.gen != gen) return;  // superseded by an earlier arm
+    wake.at = kSimTimeNever;
+    wake.deferred = false;
+    (this->*run)();
   });
+}
+
+void Engine::note_planner_input() {
+  const SimTime now = fabric_->now();
+  if (progress_wake_.deferred) arm_wake(progress_wake_, now, true, &Engine::progress);
+  if (pump_wake_.deferred) arm_wake(pump_wake_, now, true, &Engine::pump_qos_streams);
 }
 
 fabric::SimNic::PostTimes Engine::post_segment(RailId rail, fabric::Segment seg, CoreId core,
@@ -924,8 +970,10 @@ void Engine::post_emission(const EagerEmission& emission) {
   RAILS_CHECK(!emission.pieces.empty());
   RAILS_CHECK(emission.rail < nics_.size());
 
+  std::size_t framed = 0;
+  for (const EagerPiece& piece : emission.pieces) framed += framed_size(piece.len);
   fabric::Segment seg;
-  seg.payload = fabric::acquire_payload();  // recycled on the receive side
+  seg.payload = fabric::acquire_payload(framed);  // recycled on the receive side
   seg.kind = fabric::SegKind::kEager;
   seg.dst = emission.pieces.front().send->dst;
   seg.msg_id = emission.pieces.front().send->id;
@@ -1104,20 +1152,8 @@ void Engine::pump_qos_streams() {
 }
 
 void Engine::arm_qos_pump() {
-  if (qos_pump_armed_) return;
-  qos_pump_armed_ = true;
-  SimTime when = kSimTimeNever;
-  for (RailId r = 0; r < nics_.size(); ++r) {
-    if (!rail_usable(r)) continue;
-    when = std::min(when, nics_[r]->busy_until());
-  }
-  if (when == kSimTimeNever) {
-    for (const auto* nic : nics_) when = std::min(when, nic->busy_until());
-  }
-  fabric_->events().at(std::max(when, fabric_->now() + 1), [this] {
-    qos_pump_armed_ = false;
-    pump_qos_streams();
-  });
+  const WakePlan plan = plan_wake(WakeScope::kStreams);
+  arm_wake(pump_wake_, plan.at, plan.deferred, &Engine::pump_qos_streams);
 }
 
 void Engine::post_stream_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
@@ -1134,7 +1170,7 @@ void Engine::post_stream_chunk(SendRequest& send, RailId rail, std::uint64_t off
   data.tag = send.tag;
   data.offset = offset;
   data.total_len = send.len;
-  data.payload = fabric::acquire_payload();
+  data.payload = fabric::acquire_payload(bytes);
   data.payload.assign(send.data + offset, send.data + offset + bytes);
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
   trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, rail,
@@ -1196,7 +1232,7 @@ void Engine::stream_chunks(SendRequest& send) {
     data.tag = send.tag;
     data.offset = chunk.offset;
     data.total_len = send.len;
-    data.payload = fabric::acquire_payload();
+    data.payload = fabric::acquire_payload(chunk.bytes);
     data.payload.assign(send.data + chunk.offset, send.data + chunk.offset + chunk.bytes);
     const auto times = post_segment(chunk.rail, std::move(data), config_.scheduler_core);
     trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, chunk.rail,
@@ -1693,7 +1729,7 @@ void Engine::post_data_chunk(SendRequest& send, RailId rail, std::uint64_t offse
   data.offset = offset;
   data.total_len = send.len;
   data.attempt = static_cast<std::uint8_t>(attempt);
-  data.payload = fabric::acquire_payload();
+  data.payload = fabric::acquire_payload(bytes);
   data.payload.assign(send.data + offset, send.data + offset + bytes);
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
   trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, rail,
@@ -1756,11 +1792,7 @@ void Engine::reprobe_rail(RailId rail) {
     ++stats_.reprobe_successes;
     h.quarantined = false;
     h.window = 0;  // healthy again: reset the backoff
-    invalidate_decisions();  // the usable-rail set just grew
-    if (!pending_eager_.empty() || (qos_ != nullptr && qos_->backlog())) {
-      arm_progress(now);
-    }
-    if (!qos_streams_.empty()) arm_qos_pump();
+    invalidate_decisions();  // the usable-rail set just grew; re-arms wakes
     return;
   }
   if (h.window >= config_.failover.max_quarantine) {
@@ -1909,7 +1941,7 @@ void Engine::rel_retransmit(RelTxEntry& entry) {
   seg.crc = entry.crc;
   seg.seq = entry.seq;
   if (!entry.payload.empty()) {
-    seg.payload = fabric::acquire_payload();
+    seg.payload = fabric::acquire_payload(entry.payload.size());
     seg.payload.assign(entry.payload.begin(), entry.payload.end());
   }
   const RailId rail = repost_rail(seg);

@@ -259,14 +259,45 @@ class Engine {
   void handle_fin(const fabric::Segment& seg);
 
   /// Interrogates the strategy for the queued eager sends and posts the
-  /// returned emissions. Re-armed at the next NIC-idle time when the
-  /// strategy defers.
+  /// returned emissions. When the strategy defers, schedule_retry re-arms
+  /// it for the next instant a planner input can change.
   void progress();
   /// Interrogates the strategy for one destination group, consulting the
   /// decision cache first (docs/PERF.md). Posts the resulting emissions.
   void plan_group(std::span<const SendRequest* const> group);
   void schedule_retry();
-  void arm_progress(SimTime when);
+
+  // -- scheduler wakeups (docs/PERF.md, "Scheduler wakeups") ---------------
+  /// One re-armable wakeup. Every (re-)arm stamps a new generation; an
+  /// event whose stamp is stale was superseded by an earlier arm and does
+  /// nothing.
+  struct Wake {
+    SimTime at = kSimTimeNever;  ///< armed instant; kSimTimeNever = unarmed
+    std::uint64_t gen = 0;
+    /// The wake sleeps past an idle NIC its rule skips, so any planner
+    /// input change must pull it to the present (note_planner_input).
+    bool deferred = false;
+  };
+  /// Rails a wake serves. kPlanner: the eager strategies' — the usable
+  /// rails, or every rail when none is usable, plus busy quarantined rails
+  /// (SingleRail ignores usability). kStreams: the windowed stream pump's,
+  /// which posts on usable rails only.
+  enum class WakeScope { kPlanner, kStreams };
+  struct WakePlan {
+    SimTime at = kSimTimeNever;
+    bool deferred = false;
+  };
+  /// Earliest instant a `scope` input can change on its own: a rail the
+  /// scope may use frees (never earlier than now + 1), or, for kPlanner, a
+  /// busy quarantined rail frees.
+  WakePlan plan_wake(WakeScope scope) const;
+  /// Arms an unarmed `wake` at `when`. An armed wake moves only when it is
+  /// deferred and `when` is earlier; a plain one stays at its NIC-free
+  /// instant.
+  void arm_wake(Wake& wake, SimTime when, bool deferred, void (Engine::*run)());
+  /// Called on every planner-input change (decision-epoch bump): pulls the
+  /// deferred wakes to the present.
+  void note_planner_input();
   void post_emission(const EagerEmission& emission);
   void start_rendezvous(const SendHandle& send);
   void accept_rendezvous(NodeId src, std::uint64_t msg_id);
@@ -437,7 +468,8 @@ class Engine {
   std::vector<fabric::SimNic*> nics_;
   std::size_t rdv_threshold_ = 0;
   std::uint64_t next_msg_id_ = 1;
-  bool retry_armed_ = false;
+  Wake progress_wake_;
+  Wake pump_wake_;
 
   std::vector<RailHealth> rail_health_;            ///< per-rail quarantine state
   std::vector<std::uint8_t> rail_usable_;          ///< mask refreshed per context
@@ -462,7 +494,6 @@ class Engine {
     std::uint64_t next_offset = 0;
   };
   std::map<std::uint64_t, QosStream> qos_streams_;  ///< keyed by msg id
-  bool qos_pump_armed_ = false;
   std::vector<RecvHandle> posted_recvs_;           ///< unmatched, FIFO
   /// Matched multi-fragment eager receives. Flat + swap-erase: lookups are
   /// linear but the live set is small, and binding never allocates once the
@@ -537,8 +568,12 @@ class Engine {
   static constexpr std::size_t kDecisionSlots = 64;
   std::vector<DecisionEntry> decision_cache_;
   std::uint64_t decision_epoch_ = 1;
-  /// Drops every cached decision (O(1): entries with a stale epoch are dead).
-  void invalidate_decisions() { ++decision_epoch_; }
+  /// Drops every cached decision (O(1): entries with a stale epoch are dead)
+  /// and wakes a planner that sleeps past an idle NIC.
+  void invalidate_decisions() {
+    ++decision_epoch_;
+    note_planner_input();
+  }
 };
 
 }  // namespace rails::core

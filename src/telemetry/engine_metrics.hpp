@@ -37,6 +37,7 @@ class EngineMetrics {
     offload_signals_ = registry_->counter("engine.offload_signals");
     rdv_roundtrips_ = registry_->counter("engine.rdv_roundtrips");
     progress_calls_ = registry_->counter("engine.progress_calls");
+    progress_empty_ = registry_->counter("engine.progress_empty");
     send_latency_ = registry_->histogram("engine.send_latency_ns");
     recv_latency_ = registry_->histogram("engine.recv_latency_ns");
     queueing_delay_ = registry_->histogram("engine.queueing_delay_ns");
@@ -115,6 +116,11 @@ class EngineMetrics {
   void on_progress() {
     if (registry_ == nullptr) return;
     progress_calls_->inc();
+  }
+  /// A progress pass that posted nothing: the strategy deferred every group.
+  void on_progress_empty() {
+    if (registry_ == nullptr) return;
+    progress_empty_->inc();
   }
   void on_plan_eager() {
     if (registry_ == nullptr || plan_eager_ == nullptr) return;
@@ -306,6 +312,7 @@ class EngineMetrics {
   Counter* offload_signals_ = nullptr;
   Counter* rdv_roundtrips_ = nullptr;
   Counter* progress_calls_ = nullptr;
+  Counter* progress_empty_ = nullptr;
   Counter* plan_eager_ = nullptr;
   Counter* plan_rendezvous_ = nullptr;
   Histogram* send_latency_ = nullptr;

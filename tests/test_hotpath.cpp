@@ -17,6 +17,7 @@
 
 #include "core/request_pool.hpp"
 #include "core/world.hpp"
+#include "fabric/buffer_pool.hpp"
 #include "fabric/event_queue.hpp"
 #include "fabric/fault.hpp"
 #include "fabric/presets.hpp"
@@ -140,6 +141,41 @@ TEST(HotPathAlloc, RendezvousSteadyStateStaysWithinBudget) {
   // recycle. This pins the budget so a new per-chunk or per-message
   // allocation cannot land unnoticed.
   EXPECT_LE(per_msg, 24u) << per_msg << " allocations per rendezvous message";
+}
+
+// --- payload buffer pool -----------------------------------------------------
+
+TEST(PayloadPool, SizeClassesKeepSmallSegmentsOffLargeBuffers) {
+  // Empty the classes this test touches ([64 B, 256 B) and [256 KiB,
+  // 1 MiB)) of whatever earlier tests left: acquiring a power of two takes
+  // any pooled buffer of its class or the next until a fresh one appears.
+  const fabric::BufferPool& pool = fabric::BufferPool::instance();
+  std::vector<std::vector<std::uint8_t>> held;
+  for (std::size_t bytes : {std::size_t{64}, std::size_t{256} << 10}) {
+    std::size_t pooled = 0;
+    do {
+      pooled = pool.pooled();
+      held.push_back(fabric::acquire_payload(bytes));
+    } while (pool.pooled() < pooled);
+  }
+  held.clear();  // destroyed, not recycled
+
+  std::vector<std::uint8_t> big = fabric::acquire_payload(300u << 10);
+  EXPECT_EQ(big.capacity(), 300u << 10);  // fresh buffers are exact-size
+  const std::uint8_t* big_data = big.data();
+  fabric::recycle_payload(std::move(big));
+
+  // A small segment must not pin the large buffer...
+  std::vector<std::uint8_t> small = fabric::acquire_payload(100);
+  EXPECT_NE(small.data(), big_data);
+  EXPECT_EQ(small.capacity(), 100u);
+  // ...while a chunk it fits recycles it without allocating.
+  const std::uint64_t before = perf::t_alloc_count;
+  std::vector<std::uint8_t> again = fabric::acquire_payload(260u << 10);
+  EXPECT_EQ(perf::t_alloc_count, before);
+  EXPECT_EQ(again.data(), big_data);
+  EXPECT_TRUE(again.empty());
+  EXPECT_EQ(fabric::acquire_payload(0).capacity(), 0u);
 }
 
 // --- request pool ------------------------------------------------------------
