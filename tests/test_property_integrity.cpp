@@ -15,6 +15,13 @@ struct Scenario {
   int seed;
 };
 
+// Print the scenario by value: gtest's default printer dumps the raw bytes,
+// pointer included, and ctest registers that text in the test names, so the
+// names would change with every address-space layout.
+void PrintTo(const Scenario& s, std::ostream* os) {
+  *os << "{\"" << s.strategy << "\", " << s.seed << '}';
+}
+
 class RandomTraffic : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(RandomTraffic, AllMessagesArriveIntact) {
