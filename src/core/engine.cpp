@@ -14,6 +14,8 @@
 
 namespace rails::core {
 
+using trace::EventKind;
+
 namespace {
 
 /// CRC32C over the protocol-stable segment fields plus the payload. `rail`
@@ -43,6 +45,9 @@ std::uint32_t reliable_crc(const fabric::Segment& seg) {
   return crc32c_extend(head, seg.payload.data(), seg.payload.size());
 }
 
+/// Operand of a scaled gauge or flight record: `v` x1000, truncated.
+std::int64_t x1000(double v) { return static_cast<std::int64_t>(v * 1000.0); }
+
 }  // namespace
 
 RailId Strategy::control_rail(const StrategyContext& ctx) const {
@@ -65,7 +70,8 @@ RailId Strategy::control_rail(const StrategyContext& ctx) const {
 
 Engine::Engine(fabric::Fabric* fabric, NodeId self, const sampling::Estimator* estimator,
                EngineConfig config)
-    : fabric_(fabric), self_(self), estimator_(estimator), config_(config) {
+    : fabric_(fabric), self_(self), estimator_(estimator), config_(config),
+      events_(self, fabric->rail_count()) {
   RAILS_CHECK(fabric_ != nullptr && estimator_ != nullptr);
   RAILS_CHECK_MSG(estimator_->rail_count() == fabric_->rail_count(),
                   "estimator and fabric disagree on the rail count");
@@ -76,7 +82,6 @@ Engine::Engine(fabric::Fabric* fabric, NodeId self, const sampling::Estimator* e
   if (config_.qos.enabled) {
     qos_ = std::make_unique<qos::QosArbiter>(config_.qos, rdv_threshold_);
   }
-  stats_.payload_bytes_per_rail.assign(fabric_->rail_count(), 0);
   if (config_.reliability.enabled) {
     rel_links_.resize(fabric_->node_count());
     rel_loss_streak_.assign(fabric_->rail_count(), 0);
@@ -104,13 +109,12 @@ Engine::Engine(fabric::Fabric* fabric, NodeId self, const sampling::Estimator* e
 void Engine::set_strategy(std::unique_ptr<Strategy> strategy) {
   RAILS_CHECK(strategy != nullptr);
   strategy_ = std::move(strategy);
-  metrics_.set_strategy_name(strategy_->name());
+  events_.set_strategy_name(strategy_->name());
   invalidate_decisions();  // cached plans belong to the old strategy
 }
 
 void Engine::set_metrics(telemetry::MetricsRegistry* registry) {
-  metrics_.attach(registry, fabric_->rail_count());
-  if (strategy_ != nullptr) metrics_.set_strategy_name(strategy_->name());
+  events_.attach_metrics(registry);
   if (qos_ != nullptr) qos_->attach_metrics(registry);
   if (health_ != nullptr) {
     health_->attach(registry, qos_class_names(), fabric_->rail_count());
@@ -138,6 +142,7 @@ void Engine::set_recalibrator(sampling::Recalibrator* recal) {
 
 void Engine::set_flight_recorder(trace::FlightRecorder* recorder) {
   flight_ = recorder;
+  events_.set_flight_recorder(recorder);
   if (flight_ != nullptr) {
     flight_->set_state_writer([this](std::ostream& os) { write_state_json(os); });
     if (health_ != nullptr) {
@@ -200,8 +205,7 @@ void Engine::health_tick() {
   const auto& ticks = health_->sample(now);
   if (slo_ != nullptr) {
     for (const telemetry::AlertEvent& ev : slo_->observe(now, ticks)) {
-      flight(trace::FlightKind::kSloAlert, 0, 0, ev.firing ? 1 : 0,
-             static_cast<std::int64_t>(ev.fast_value * 1000));
+      emit(EventKind::kSloAlert, {.a = ev.firing, .b = x1000(ev.fast_value)});
       if (ev.firing) flight_trigger("slo-burn", ev.detail);
     }
   }
@@ -209,21 +213,6 @@ void Engine::health_tick() {
   // final deltas after the engine drains, then the event chain ends so
   // run_all()/run_until() can terminate.
   if (health_work_pending()) arm_health();
-}
-
-void Engine::flight(trace::FlightKind kind, RailId rail, std::uint64_t msg_id,
-                    std::int64_t a, std::int64_t b) {
-  if (flight_ == nullptr) return;
-  trace::FlightRecord r;
-  r.time = fabric_->now();
-  r.kind = kind;
-  r.node = self_;
-  r.rail = rail;
-  r.msg_id = msg_id;
-  r.a = a;
-  r.b = b;
-  flight_->record(r);
-  metrics_.on_flight_evictions(flight_->evictions());
 }
 
 void Engine::flight_trigger(const char* reason, const std::string& detail) {
@@ -248,28 +237,19 @@ void Engine::observe_completion(RailId rail, SimDuration plan, SimDuration model
   // orphan every memoized decision.
   if (out.scale_corrected || out.state_changed) invalidate_decisions();
   if (out.scale_corrected) {
-    ++stats_.recal_corrections;
-    metrics_.on_recal_correction(rail, recal_->scale(rail));
-    flight(trace::FlightKind::kScaleCorrection, rail, 0,
-           static_cast<std::int64_t>(recal_->scale(rail) * 1000.0));
+    emit(EventKind::kScaleCorrection, {.rail = rail, .a = x1000(recal_->scale(rail))});
   }
   if (out.demoted) {
-    ++stats_.trust_demotions;
-    flight(trace::FlightKind::kTrustDemotion, rail, 0,
-           static_cast<std::int64_t>(out.state));
+    emit(EventKind::kTrustDemotion, {.rail = rail, .a = static_cast<int>(out.state)});
     char detail[128];
     std::snprintf(detail, sizeof(detail), "rail %u trust demoted to %s", rail,
                   sampling::to_string(out.state));
     flight_trigger("trust-demotion", detail);
   }
   if (out.promoted) {
-    ++stats_.trust_promotions;
-    flight(trace::FlightKind::kTrustPromotion, rail, 0,
-           static_cast<std::int64_t>(out.state));
+    emit(EventKind::kTrustPromotion, {.rail = rail, .a = static_cast<int>(out.state)});
   }
-  if (out.state_changed)
-    metrics_.on_trust_change(rail, static_cast<int>(out.state), out.demoted);
-  metrics_.on_drift_sample(rail, recal_->drift_score(rail));
+  emit(EventKind::kDriftSample, {.rail = rail, .a = x1000(recal_->drift_score(rail))});
   if (out.resample_requested) schedule_resample(rail);
 }
 
@@ -299,68 +279,13 @@ void Engine::run_resample(RailId rail) {
       *nics_[rail], now, config_.recalibration.resample_sampler);
   recal_->complete_resample(rail, std::move(fresh), now);
   invalidate_decisions();  // the rail's cost profile just changed
-  ++stats_.recal_resamples;
-  metrics_.on_resample(rail, recal_->scale(rail));
-  metrics_.on_trust_gauge(rail, static_cast<int>(recal_->trust(rail)));
-  flight(trace::FlightKind::kResample, rail, 0,
-         static_cast<std::int64_t>(recal_->scale(rail) * 1000.0));
+  emit(EventKind::kResample, {.rail = rail, .a = x1000(recal_->scale(rail))});
+  emit(EventKind::kTrustState, {.rail = rail, .a = static_cast<int>(recal_->trust(rail))});
 }
 
 Strategy& Engine::strategy() {
   RAILS_CHECK_MSG(strategy_ != nullptr, "no strategy installed");
   return *strategy_;
-}
-
-void Engine::trace_event(trace::EventKind kind, std::uint64_t msg_id, Tag tag,
-                         RailId rail, CoreId core, std::size_t bytes, SimTime time,
-                         SimTime nic_end, std::uint32_t cls) {
-  // Data-plane events are mirrored into the always-on flight recorder so a
-  // postmortem window exists even when no Tracer is attached.
-  if (flight_ != nullptr) {
-    bool mirror = true;
-    trace::FlightKind fk = trace::FlightKind::kSubmit;
-    switch (kind) {
-      case trace::EventKind::kSubmit: fk = trace::FlightKind::kSubmit; break;
-      case trace::EventKind::kEagerEmit: fk = trace::FlightKind::kEagerEmit; break;
-      case trace::EventKind::kChunkPosted: fk = trace::FlightKind::kChunkPosted; break;
-      case trace::EventKind::kSendComplete: fk = trace::FlightKind::kSendComplete; break;
-      case trace::EventKind::kRecvComplete: fk = trace::FlightKind::kRecvComplete; break;
-      case trace::EventKind::kOffloadSignal: fk = trace::FlightKind::kOffloadSignal; break;
-      case trace::EventKind::kFailover: fk = trace::FlightKind::kFailover; break;
-      default: mirror = false; break;
-    }
-    if (mirror) {
-      trace::FlightRecord r;
-      r.time = time;
-      r.kind = fk;
-      r.node = self_;
-      r.rail = rail;
-      r.msg_id = msg_id;
-      r.a = static_cast<std::int64_t>(bytes);
-      r.b = nic_end;
-      flight_->record(r);
-      metrics_.on_flight_evictions(flight_->evictions());
-    }
-  }
-  if (tracer_ == nullptr) return;
-  trace::TraceEvent event;
-  event.time = time;
-  event.node = self_;
-  event.kind = kind;
-  event.msg_id = msg_id;
-  event.tag = tag;
-  event.rail = rail;
-  event.core = core;
-  event.bytes = bytes;
-  event.nic_end = nic_end;
-  event.cls = cls;
-  tracer_->record(event);
-  metrics_.on_trace_dropped(tracer_->dropped());
-}
-
-void Engine::reset_stats() {
-  stats_ = EngineStats{};
-  stats_.payload_bytes_per_rail.assign(fabric_->rail_count(), 0);
 }
 
 StrategyContext Engine::make_context() {
@@ -449,12 +374,12 @@ SendHandle Engine::submit_send(NodeId dst, Tag tag, const void* data, std::size_
           return nullptr;
         }
         qos_->note_admission_downgrade(send->qos_class);
-        ++stats_.qos_admission_downgrades;
+        emit(EventKind::kAdmissionDowngrade);
         send->qos_class = downgraded;
         deadline = 0;  // downgraded sends run best-effort
       } else {
         qos_->note_admission_reject(send->qos_class);
-        ++stats_.qos_admission_rejects;
+        emit(EventKind::kAdmissionReject);
         send->state = SendState::kRejected;
         return send;
       }
@@ -469,18 +394,15 @@ SendHandle Engine::submit_send(NodeId dst, Tag tag, const void* data, std::size_
     }
   }
 
-  ++stats_.sends;
-  trace_event(trace::EventKind::kSubmit, send->id, tag, 0, 0, len, send->submit_time,
-              0, send->qos_class);
-  metrics_.on_submit(len > rdv_threshold_);
+  send->rendezvous = len > rdv_threshold_;
+  emit(EventKind::kSubmit, {.msg_id = send->id, .tag = tag, .bytes = len,
+                            .time = send->submit_time, .cls = send->qos_class,
+                            .a = send->rendezvous});
   arm_health();  // (re)start the health tick while traffic is in flight
 
-  if (len > rdv_threshold_) {
-    send->rendezvous = true;
-    ++stats_.rdv_msgs;
+  if (send->rendezvous) {
     start_rendezvous(send);
   } else {
-    ++stats_.eager_msgs;
     if (qos_ != nullptr) {
       qos_->enqueue(send->qos_class, send, send->submit_time);
     } else {
@@ -535,10 +457,7 @@ RecvHandle Engine::irecv(NodeId src, Tag tag, void* data, std::size_t capacity) 
   recv->data = static_cast<std::uint8_t*>(data);
   recv->capacity = capacity;
   recv->post_time = fabric_->now();
-  ++stats_.recvs;
-  trace_event(trace::EventKind::kRecvPosted, recv->id, tag, 0, 0, capacity,
-              recv->post_time);
-  metrics_.on_recv_posted();
+  emit(EventKind::kRecvPosted, {.msg_id = recv->id, .tag = tag, .bytes = capacity});
 
   // Unexpected eager data first (FIFO by message id within the source).
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
@@ -607,8 +526,8 @@ void Engine::progress() {
     return;
   }
   RAILS_CHECK_MSG(strategy_ != nullptr, "traffic submitted before a strategy was installed");
-  metrics_.on_progress();
-  const std::uint64_t segments_before = stats_.eager_segments;
+  emit(EventKind::kProgress);
+  const std::uint64_t segments_before = stats().eager_segments;
 
   // Interrogate the strategy once per destination group, preserving the
   // first-appearance order of destinations and the submission order within
@@ -642,7 +561,7 @@ void Engine::progress() {
   for (std::size_t g = 0; g < groups_used_; ++g) {
     plan_group(std::span<const SendRequest* const>(group_sends_[g]));
   }
-  if (stats_.eager_segments == segments_before) metrics_.on_progress_empty();
+  if (stats().eager_segments == segments_before) emit(EventKind::kProgressEmpty);
 
   // Drop fully posted sends from the pack list.
   std::erase_if(pending_eager_, [](const SendHandle& s) {
@@ -656,7 +575,7 @@ void Engine::progress() {
 
 void Engine::plan_group(std::span<const SendRequest* const> group) {
   const StrategyContext ctx = make_context();
-  metrics_.on_plan_eager();
+  emit(EventKind::kPlanEager);
 
   // Decision cache (docs/PERF.md): when the strategy declares this
   // interrogation pure — a function of the usable/idle rail sets, the idle
@@ -723,7 +642,7 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
                      return true;
                    }();
   if (hit) {
-    ++stats_.strategy_cache_hits;
+    emit(EventKind::kPlanCacheHit);
     for (const CachedEmission& ce : entry.emissions) {
       emission_scratch_.rail = ce.rail;
       if (ce.offloaded) {
@@ -742,7 +661,7 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
     return;
   }
 
-  ++stats_.strategy_cache_misses;
+  emit(EventKind::kPlanCacheMiss);
   EagerSchedule schedule = strategy_->plan_eager(ctx, group);
 
   // Store the plan as group-relative indices before posting (posting
@@ -786,7 +705,7 @@ void Engine::plan_group(std::span<const SendRequest* const> group) {
 void Engine::drain_qos() {
   RAILS_PERF_SCOPE(perf::Layer::kArbiter);
   qos_->grant(fabric_->now(), [this](SendHandle send) {
-    ++stats_.qos_grants;
+    emit(EventKind::kQosGrant);
     pending_eager_.push_back(std::move(send));
   });
 }
@@ -850,15 +769,18 @@ SimTime Engine::earliest_feasible_completion(std::size_t len) const {
   return now + 2 * handshake + makespan;
 }
 
-void Engine::note_qos_completion(const SendRequest& send) {
+void Engine::finish_send(SendRequest& send, SimTime when, RailId rail, bool rendezvous) {
+  send.state = SendState::kDone;
+  send.complete_time = when;
+  emit(EventKind::kSendComplete,
+       {.msg_id = send.id, .tag = send.tag, .rail = rail, .bytes = send.len, .time = when,
+        .since = send.submit_time, .cls = send.qos_class,
+        .a = !rendezvous && send.chunk_count > 1, .b = rendezvous});
   if (qos_ == nullptr) return;
   const bool had_deadline = send.deadline != 0;
-  const bool hit = had_deadline && send.complete_time <= send.deadline;
-  if (had_deadline) {
-    if (hit) ++stats_.qos_deadline_hits; else ++stats_.qos_deadline_misses;
-  }
-  qos_->note_completion(send.qos_class, had_deadline, hit,
-                        send.complete_time - send.submit_time);
+  const bool hit = had_deadline && when <= send.deadline;
+  if (had_deadline) emit(hit ? EventKind::kDeadlineHit : EventKind::kDeadlineMiss);
+  qos_->note_completion(send.qos_class, had_deadline, hit, when - send.submit_time);
 }
 
 void Engine::schedule_retry() {
@@ -953,7 +875,7 @@ fabric::SimNic::PostTimes Engine::post_segment(RailId rail, fabric::Segment seg,
   if (!control_lane) {
     cores.occupy(core, times.host_start, times.host_end - times.host_start);
   }
-  stats_.payload_bytes_per_rail[rail] += payload;
+  emit(EventKind::kSegmentPosted, {.rail = rail, .bytes = payload});
   if (sequenced) {
     // deliver_at is the NIC model's single-hop arrival; on routed fabrics
     // the segment still has (hops - 1) links to cross before the receiver
@@ -978,7 +900,6 @@ void Engine::post_emission(const EagerEmission& emission) {
   seg.dst = emission.pieces.front().send->dst;
   seg.msg_id = emission.pieces.front().send->id;
   seg.tag = emission.pieces.front().send->tag;
-  const Tag seg_tag = seg.tag;
 
   for (const EagerPiece& piece : emission.pieces) {
     RAILS_CHECK(piece.send != nullptr && piece.send->dst == seg.dst);
@@ -1003,7 +924,6 @@ void Engine::post_emission(const EagerEmission& emission) {
     core = *emission.offload_core;
     const bool idle = fabric_->cores(self_).idle(core, fabric_->now());
     delay = idle ? config_.offload.signal_cost : config_.offload.preempt_cost;
-    ++stats_.offloaded_chunks;
   }
 
   // Predict before posting: the post itself advances the NIC's busy-until.
@@ -1017,42 +937,38 @@ void Engine::post_emission(const EagerEmission& emission) {
   }
 
   const auto times = post_segment(emission.rail, std::move(seg), core, delay);
-  metrics_.on_eager_emit(emission.rail, framed_bytes, emission.offload_core.has_value());
+  emit(EventKind::kEagerSegment,
+       {.rail = emission.rail, .bytes = framed_bytes,
+        .a = static_cast<std::int64_t>(emission.pieces.size()),
+        .b = emission.offload_core.has_value()});
   if (observing()) {
     observe_completion(emission.rail, predicted_end - decision_now,
                        times.nic_end - decision_now);
   }
   if (emission.offload_core) {
-    trace_event(trace::EventKind::kOffloadSignal, emission.pieces.front().send->id,
-                seg_tag, emission.rail, core, 0, fabric_->now(), 0,
-                emission.pieces.front().send->qos_class);
+    const SendRequest& front = *emission.pieces.front().send;
+    emit(EventKind::kOffloadSignal,
+         {.msg_id = front.id, .tag = front.tag, .rail = emission.rail, .core = core,
+          .cls = front.qos_class});
   }
   for (const EagerPiece& piece : emission.pieces) {
-    trace_event(trace::EventKind::kEagerEmit, piece.send->id, piece.send->tag,
-                emission.rail, core, piece.len, times.host_start, times.nic_end,
-                piece.send->qos_class);
+    // A send none of whose bytes are posted yet leaves the pack list here.
+    const SendRequest& send = *piece.send;
+    emit(EventKind::kEagerEmit,
+         {.msg_id = send.id, .tag = send.tag, .rail = emission.rail, .core = core,
+          .bytes = piece.len, .time = times.host_start, .nic_end = times.nic_end,
+          .since = send.bytes_posted == 0 ? send.submit_time : -1,
+          .cls = send.qos_class});
   }
-
-  ++stats_.eager_segments;
-  if (emission.pieces.size() > 1) stats_.aggregated_packets += emission.pieces.size();
 
   // Account posted bytes and complete sends whose last piece this was.
   for (const EagerPiece& piece : emission.pieces) {
     auto* send = const_cast<SendRequest*>(piece.send);
-    if (send->bytes_posted == 0) {
-      metrics_.on_queueing(times.host_start - send->submit_time);
-    }
     send->bytes_posted += piece.len;
     ++send->chunk_count;
     if (emission.offload_core) ++send->offloaded_chunks;
     if (send->bytes_posted == send->len) {
-      send->state = SendState::kDone;
-      send->complete_time = times.host_end;
-      if (send->chunk_count > 1) ++stats_.split_eager_msgs;
-      trace_event(trace::EventKind::kSendComplete, send->id, send->tag, emission.rail,
-                  0, send->len, send->complete_time, 0, send->qos_class);
-      metrics_.on_send_complete(send->complete_time - send->submit_time);
-      note_qos_completion(*send);
+      finish_send(*send, times.host_end, emission.rail, /*rendezvous=*/false);
     }
   }
 }
@@ -1068,26 +984,22 @@ void Engine::start_rendezvous(const SendHandle& send) {
   rts.tag = send->tag;
   rts.total_len = send->len;
   post_segment(rail, std::move(rts), config_.scheduler_core);
-  trace_event(trace::EventKind::kRtsSent, send->id, send->tag, rail, 0, send->len,
-              fabric_->now(), 0, send->qos_class);
+  emit(EventKind::kRtsSent, {.msg_id = send->id, .tag = send->tag, .rail = rail,
+                             .bytes = send->len, .cls = send->qos_class});
   send->state = SendState::kRtsSent;
   rdv_sends_[send->id] = send;
 }
 
 void Engine::handle_cts(const fabric::Segment& seg) {
   auto it = rdv_sends_.find(seg.msg_id);
-  if (it == rdv_sends_.end()) {
-    // A duplicated or straggling CTS for a send that already completed or
-    // failed (wire dup with reliability off, failover re-accept). Receives
-    // are idempotent; the control plane must be too.
-    ++stats_.stale_control;
+  if (it == rdv_sends_.end() || it->second->state != SendState::kRtsSent) {
+    // A duplicated or straggling CTS for a send that already streams,
+    // completed or failed (wire dup with reliability off, failover
+    // re-accept). Receives are idempotent; the control plane must be too.
+    emit(EventKind::kStaleControl);
     return;
   }
   SendRequest& send = *it->second;
-  if (send.state != SendState::kRtsSent) {
-    ++stats_.stale_control;  // second CTS after streaming already began
-    return;
-  }
   send.state = SendState::kStreaming;
   if (qos_ != nullptr && send.len > config_.qos.bulk_chunk) {
     // Windowed streaming (docs/QOS.md): instead of laying out the whole
@@ -1159,33 +1071,9 @@ void Engine::arm_qos_pump() {
 void Engine::post_stream_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
                                std::size_t bytes) {
   RAILS_PERF_SCOPE(perf::Layer::kEmit);
-  const SimTime now = fabric_->now();
-  const sampling::RailState state{rail, nics_[rail]->busy_until()};
-  const SimDuration predicted = estimator_->chunk_completion(state, now, bytes) - now;
-
-  fabric::Segment data;
-  data.kind = fabric::SegKind::kData;
-  data.dst = send.dst;
-  data.msg_id = send.id;
-  data.tag = send.tag;
-  data.offset = offset;
-  data.total_len = send.len;
-  data.payload = fabric::acquire_payload(bytes);
-  data.payload.assign(send.data + offset, send.data + offset + bytes);
-  const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
-  trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, rail,
-              config_.scheduler_core, bytes, times.host_start, times.nic_end,
-              send.qos_class);
-  ++stats_.rdv_chunks;
-  ++stats_.qos_stream_chunks;
-  metrics_.on_chunk_posted(rail, bytes);
-  if (send.bytes_posted == 0) {
-    metrics_.on_queueing(times.host_start - send.submit_time);
-  }
+  post_chunk(send, rail, offset, bytes, /*attempt=*/0, /*stream=*/true);
   ++send.chunk_count;
   send.bytes_posted += bytes;
-  observe_completion(rail, predicted, times.nic_end - now);
-  track_chunk(send.id, send.dst, offset, bytes, rail, /*attempt=*/0, now, predicted);
 }
 
 void Engine::stream_chunks(SendRequest& send) {
@@ -1193,7 +1081,7 @@ void Engine::stream_chunks(SendRequest& send) {
   // "when a rendezvous request has just been received" — the strategy is
   // interrogated with the live NIC states to lay out the DMA chunks.
   const StrategyContext ctx = make_context();
-  metrics_.on_plan_rendezvous();
+  emit(EventKind::kPlanRendezvous);
   strategy::SplitResult split;
   {
     RAILS_PERF_SCOPE(perf::Layer::kStrategy);
@@ -1205,8 +1093,6 @@ void Engine::stream_chunks(SendRequest& send) {
   for (const strategy::Chunk& chunk : split.chunks) covered += chunk.bytes;
   RAILS_CHECK_MSG(covered == send.len, "rendezvous plan does not tile the message");
 
-  const SimTime decision_now = fabric_->now();
-  bool first_chunk = true;
   send.chunk_count = static_cast<unsigned>(split.chunks.size());
   for (std::size_t i = 0; i < split.chunks.size(); ++i) {
     const strategy::Chunk& chunk = split.chunks[i];
@@ -1214,68 +1100,27 @@ void Engine::stream_chunks(SendRequest& send) {
     // the ready offsets); otherwise the estimator's busy-aware fallback.
     // Besides feeding the PredictionTracker, this is what the chunk timeout
     // is derived from (predicted completion times the slack factor).
-    SimDuration predicted = 0;
-    {
-      const sampling::RailState state{chunk.rail, nics_[chunk.rail]->busy_until()};
-      predicted =
-          estimator_->chunk_completion(state, decision_now, chunk.bytes) - decision_now;
-    }
-    // The raw estimator view of the same chunk (what the drift detector
-    // compares against the fabric) — identical unless the solver's plan
-    // carried a trust penalty or saw later ready offsets.
-    const SimDuration model_predicted = predicted;
-    if (i < split.finish_times.size()) predicted = split.finish_times[i];
-    fabric::Segment data;
-    data.kind = fabric::SegKind::kData;
-    data.dst = send.dst;
-    data.msg_id = send.id;
-    data.tag = send.tag;
-    data.offset = chunk.offset;
-    data.total_len = send.len;
-    data.payload = fabric::acquire_payload(chunk.bytes);
-    data.payload.assign(send.data + chunk.offset, send.data + chunk.offset + chunk.bytes);
-    const auto times = post_segment(chunk.rail, std::move(data), config_.scheduler_core);
-    trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, chunk.rail,
-                config_.scheduler_core, chunk.bytes, times.host_start, times.nic_end,
-                send.qos_class);
-    ++stats_.rdv_chunks;
-    metrics_.on_chunk_posted(chunk.rail, chunk.bytes);
-    if (first_chunk) {
-      metrics_.on_queueing(times.host_start - send.submit_time);
-      first_chunk = false;
-    }
-    observe_completion(chunk.rail, predicted, model_predicted,
-                       times.nic_end - decision_now);
+    std::optional<SimDuration> plan;
+    if (i < split.finish_times.size()) plan = split.finish_times[i];
+    post_chunk(send, chunk.rail, chunk.offset, chunk.bytes, /*attempt=*/0, /*stream=*/false,
+               plan);
     send.bytes_posted += chunk.bytes;
-    track_chunk(send.id, send.dst, chunk.offset, chunk.bytes, chunk.rail,
-                /*attempt=*/0, decision_now, predicted);
   }
 }
 
 void Engine::handle_fin(const fabric::Segment& seg) {
   RAILS_PERF_SCOPE(perf::Layer::kCompletion);
   auto it = rdv_sends_.find(seg.msg_id);
-  if (it == rdv_sends_.end()) {
+  if (it == rdv_sends_.end() || it->second->state != SendState::kStreaming) {
     // A duplicated FIN: the first copy completed the send and erased it.
     // Before the reliability PR this crashed the node (PR 2's dedup audit
     // only covered DATA); now it is counted and ignored.
-    ++stats_.stale_control;
-    return;
-  }
-  SendRequest& send = *it->second;
-  if (send.state != SendState::kStreaming) {
-    ++stats_.stale_control;
+    emit(EventKind::kStaleControl);
     return;
   }
   live_chunks_.erase(seg.msg_id);  // any armed timeouts are stale now
   qos_streams_.erase(seg.msg_id);  // a failover retransmit may finish early
-  send.state = SendState::kDone;
-  send.complete_time = fabric_->now();
-  trace_event(trace::EventKind::kSendComplete, send.id, send.tag, 0, 0, send.len,
-              send.complete_time, 0, send.qos_class);
-  metrics_.on_rdv_complete();
-  metrics_.on_send_complete(send.complete_time - send.submit_time);
-  note_qos_completion(send);
+  finish_send(*it->second, fabric_->now(), /*rail=*/0, /*rendezvous=*/true);
   rdv_sends_.erase(it);
 }
 
@@ -1342,8 +1187,7 @@ void Engine::handle_eager(const fabric::Segment& seg) {
   // payload bit can land inside a sub-packet header, and a single wire
   // fault must not take down the node.
   if (!try_parse_subpackets(seg.payload, subpacket_scratch_)) {
-    ++stats_.rel_parse_rejects;
-    flight(trace::FlightKind::kCorruptDetected, seg.rail, seg.msg_id, -1);
+    emit(EventKind::kCorruptDetected, {.msg_id = seg.msg_id, .rail = seg.rail, .a = -1});
     return;
   }
   for (const SubPacket& sp : subpacket_scratch_) deliver_fragment(sp, seg.src);
@@ -1361,7 +1205,7 @@ void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
       // Only reachable via payload corruption with the checksum off: a
       // flipped bit inside the sub-packet header moved the fragment out of
       // bounds. Dropping beats scribbling past the receive buffer.
-      ++stats_.rel_parse_rejects;
+      emit(EventKind::kParseReject);
       return;
     }
     if (sp.len > 0) std::memcpy(recv->data + sp.offset, sp.bytes, sp.len);
@@ -1398,7 +1242,7 @@ void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
     u.buffer.assign(sp.msg_total, 0);
   }
   if (sp.offset + sp.len > u.total) {
-    ++stats_.rel_parse_rejects;  // corrupted header, checksum off (see above)
+    emit(EventKind::kParseReject);  // corrupted header, checksum off (see above)
     return;
   }
   if (sp.len > 0) std::memcpy(u.buffer.data() + sp.offset, sp.bytes, sp.len);
@@ -1409,15 +1253,13 @@ void Engine::handle_rts(const fabric::Segment& seg) {
   // Duplicate RTS (wire dup, or sender retry racing the original): the
   // handshake is already in flight or already queued — matching it again
   // would bind a second receive to the same message.
-  if (inbound_rdv_.count({seg.src, seg.msg_id}) != 0) {
-    ++stats_.stale_control;
+  const auto queued = [&seg](const UnexpectedRts& u) {
+    return u.src == seg.src && u.msg_id == seg.msg_id;
+  };
+  if (inbound_rdv_.count({seg.src, seg.msg_id}) != 0 ||
+      std::any_of(unexpected_rts_.begin(), unexpected_rts_.end(), queued)) {
+    emit(EventKind::kStaleControl);
     return;
-  }
-  for (const UnexpectedRts& u : unexpected_rts_) {
-    if (u.src == seg.src && u.msg_id == seg.msg_id) {
-      ++stats_.stale_control;
-      return;
-    }
   }
   if (RecvHandle recv = match_posted(seg.src, seg.tag)) {
     RAILS_CHECK_MSG(seg.total_len <= recv->capacity, "posted receive buffer too small");
@@ -1439,7 +1281,7 @@ void Engine::accept_rendezvous(NodeId src, std::uint64_t msg_id) {
   cts.dst = src;
   cts.msg_id = msg_id;
   post_segment(rail, std::move(cts), config_.scheduler_core);
-  trace_event(trace::EventKind::kCtsSent, msg_id, 0, rail, 0, 0, fabric_->now());
+  emit(EventKind::kCtsSent, {.msg_id = msg_id, .rail = rail});
 }
 
 namespace {
@@ -1476,8 +1318,7 @@ void Engine::handle_data(const fabric::Segment& seg) {
     // Duplicate after completion: a spurious-timeout retransmit finished the
     // message and the straggling original arrived late. Reception is
     // idempotent — drop it.
-    ++stats_.duplicate_chunks;
-    metrics_.on_duplicate_chunk();
+    emit(EventKind::kDuplicateChunk);
     return;
   }
   RecvHandle recv = it->second.recv;
@@ -1487,10 +1328,7 @@ void Engine::handle_data(const fabric::Segment& seg) {
   }
   const std::size_t fresh =
       add_interval(it->second.covered, seg.offset, seg.offset + seg.payload.size());
-  if (fresh < seg.payload.size()) {
-    ++stats_.duplicate_chunks;
-    metrics_.on_duplicate_chunk();
-  }
+  if (fresh < seg.payload.size()) emit(EventKind::kDuplicateChunk);
   recv->bytes_received += fresh;
   if (recv->bytes_received == recv->expected) {
     const NodeId src = it->second.src;
@@ -1512,9 +1350,8 @@ void Engine::complete_recv(const RecvHandle& recv) {
   RAILS_PERF_SCOPE(perf::Layer::kCompletion);
   recv->state = RecvState::kDone;
   recv->complete_time = fabric_->now();
-  trace_event(trace::EventKind::kRecvComplete, recv->id, recv->tag, 0, 0,
-              recv->bytes_received, recv->complete_time);
-  metrics_.on_recv_complete(recv->complete_time - recv->post_time);
+  emit(EventKind::kRecvComplete, {.msg_id = recv->id, .tag = recv->tag,
+                                  .bytes = recv->bytes_received, .since = recv->post_time});
 }
 
 // ---------------------------------------------------------------------------
@@ -1531,10 +1368,9 @@ void Engine::on_tx_complete(const fabric::Segment& seg) {
 }
 
 void Engine::on_tx_error(fabric::Segment&& seg) {
-  ++stats_.tx_errors;
-  metrics_.on_tx_error();
-  flight(trace::FlightKind::kTxError, seg.rail, seg.msg_id,
-         static_cast<std::int64_t>(seg.payload.size()), seg.attempt);
+  emit(EventKind::kTxError, {.msg_id = seg.msg_id, .rail = seg.rail,
+                             .a = static_cast<std::int64_t>(seg.payload.size()),
+                             .b = seg.attempt});
   if (config_.reliability.enabled && seg.seq != 0) {
     // The reliability layer owns recovery for sequenced segments: the parked
     // copy is retransmitted immediately (budget-checked) instead of routing
@@ -1559,8 +1395,7 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
   // Eager and control segments are self-contained: re-post the whole
   // segment on the best usable rail.
   if (seg.attempt + 1u >= config_.failover.max_attempts) {
-    ++stats_.failover_exhausted;
-    metrics_.on_exhausted();
+    emit(EventKind::kFailoverExhausted);
     if (seg.kind == fabric::SegKind::kRts) {
       // The handshake can never finish; fail the send instead of hanging.
       if (auto it = rdv_sends_.find(seg.msg_id); it != rdv_sends_.end()) {
@@ -1572,8 +1407,7 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
   }
   const RailId rail = repost_rail(seg);
   ++seg.attempt;
-  ++stats_.retries;
-  metrics_.on_retry();
+  emit(EventKind::kRetry);
   post_segment(rail, std::move(seg), config_.scheduler_core);
 }
 
@@ -1638,10 +1472,8 @@ void Engine::on_chunk_timeout(std::uint64_t msg_id, std::uint64_t offset, std::s
   if (lc == live_chunks_.end()) return;
   auto entry = lc->second.find(offset);
   if (entry == lc->second.end() || entry->second != attempt) return;  // retired/superseded
-  ++stats_.chunk_timeouts;
-  metrics_.on_chunk_timeout();
-  flight(trace::FlightKind::kChunkTimeout, rail, msg_id,
-         static_cast<std::int64_t>(bytes), attempt);
+  emit(EventKind::kChunkTimeout, {.msg_id = msg_id, .rail = rail,
+                                  .a = static_cast<std::int64_t>(bytes), .b = attempt});
   quarantine_rail(rail);
   failover_chunk(*it->second, offset, bytes, rail, attempt);
 }
@@ -1655,11 +1487,9 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
   lc->second.erase(entry);
   if (bytes == 0) return;
 
-  ++stats_.failovers;
-  metrics_.on_failover();
+  emit(EventKind::kFailover, {.msg_id = send.id, .tag = send.tag, .rail = failed_rail,
+                              .core = config_.scheduler_core, .bytes = bytes});
   invalidate_decisions();  // failover re-splits perturb the steady state
-  trace_event(trace::EventKind::kFailover, send.id, send.tag, failed_rail,
-              config_.scheduler_core, bytes, fabric_->now());
   {
     char detail[160];
     std::snprintf(detail, sizeof(detail),
@@ -1671,8 +1501,7 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
   }
 
   if (attempt + 1u >= config_.failover.max_attempts) {
-    ++stats_.failover_exhausted;
-    metrics_.on_exhausted();
+    emit(EventKind::kFailoverExhausted);
     send.state = SendState::kFailed;
     live_chunks_.erase(send.id);
     rdv_sends_.erase(send.id);
@@ -1711,16 +1540,24 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
   const strategy::SplitResult split =
       strategy::solve_equal_finish(std::span<const strategy::SolverRail>(rails), bytes);
   for (const strategy::Chunk& c : split.chunks) {
-    post_data_chunk(send, c.rail, offset + c.offset, c.bytes, attempt + 1);
+    emit(EventKind::kRetry);
+    post_chunk(send, c.rail, offset + c.offset, c.bytes, attempt + 1, /*stream=*/false);
+    // Retransmissions do not advance bytes_posted: it tracks distinct message
+    // bytes handed to the NICs, and these bytes were already counted.
+    ++send.chunk_count;
   }
 }
 
-void Engine::post_data_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
-                             std::size_t bytes, unsigned attempt) {
+void Engine::post_chunk(const SendRequest& send, RailId rail, std::uint64_t offset,
+                        std::size_t bytes, unsigned attempt, bool stream,
+                        std::optional<SimDuration> plan) {
+  // Predict before posting: the post itself advances the NIC's busy-until.
+  // The raw estimator view (what the drift detector compares against the
+  // fabric) differs from a solver's plan that carried a trust penalty or
+  // saw later ready offsets.
   const SimTime now = fabric_->now();
   const sampling::RailState state{rail, nics_[rail]->busy_until()};
-  const SimDuration predicted = estimator_->chunk_completion(state, now, bytes) - now;
-
+  const SimDuration model = estimator_->chunk_completion(state, now, bytes) - now;
   fabric::Segment data;
   data.kind = fabric::SegKind::kData;
   data.dst = send.dst;
@@ -1732,17 +1569,16 @@ void Engine::post_data_chunk(SendRequest& send, RailId rail, std::uint64_t offse
   data.payload = fabric::acquire_payload(bytes);
   data.payload.assign(send.data + offset, send.data + offset + bytes);
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
-  trace_event(trace::EventKind::kChunkPosted, send.id, send.tag, rail,
-              config_.scheduler_core, bytes, times.host_start, times.nic_end);
-  ++stats_.rdv_chunks;
-  ++stats_.retries;
-  metrics_.on_retry();
-  metrics_.on_chunk_posted(rail, bytes);
-  ++send.chunk_count;
-  // Retransmissions do not advance bytes_posted: it tracks distinct message
-  // bytes handed to the NICs, and these bytes were already counted.
-  observe_completion(rail, predicted, times.nic_end - now);
-  track_chunk(send.id, send.dst, offset, bytes, rail, attempt, now, predicted);
+  // A first transmission with nothing posted before it ends the message's
+  // queueing; a failover re-post is traced without a traffic class.
+  const bool first = attempt == 0 && send.bytes_posted == 0;
+  emit(EventKind::kChunkPosted,
+       {.msg_id = send.id, .tag = send.tag, .rail = rail, .core = config_.scheduler_core,
+        .bytes = bytes, .time = times.host_start, .nic_end = times.nic_end,
+        .since = first ? send.submit_time : -1, .cls = attempt == 0 ? send.qos_class : 0,
+        .a = stream});
+  observe_completion(rail, plan.value_or(model), model, times.nic_end - now);
+  track_chunk(send.id, send.dst, offset, bytes, rail, attempt, now, plan.value_or(model));
 }
 
 void Engine::quarantine_rail(RailId rail) {
@@ -1757,10 +1593,8 @@ void Engine::quarantine_rail(RailId rail) {
   h.quarantined = true;
   h.until = now + h.window;
   invalidate_decisions();  // the usable-rail set just shrank
-  ++stats_.quarantines;
-  metrics_.on_quarantine(rail);
-  flight(trace::FlightKind::kQuarantine, rail, 0,
-         static_cast<std::int64_t>(to_usec(h.window)));
+  emit(EventKind::kQuarantine,
+       {.rail = rail, .a = static_cast<std::int64_t>(to_usec(h.window))});
   {
     char detail[128];
     std::snprintf(detail, sizeof(detail),
@@ -1784,12 +1618,9 @@ void Engine::reprobe_rail(RailId rail) {
     schedule_reprobe(rail);
     return;
   }
-  ++stats_.reprobes;
   const bool up = nics_[rail]->link_up(now);
-  metrics_.on_reprobe(rail, up);
-  flight(trace::FlightKind::kReprobe, rail, 0, up ? 1 : 0);
+  emit(EventKind::kReprobe, {.rail = rail, .a = up});
   if (up) {
-    ++stats_.reprobe_successes;
     h.quarantined = false;
     h.window = 0;  // healthy again: reset the backoff
     invalidate_decisions();  // the usable-rail set just grew; re-arms wakes
@@ -1867,7 +1698,7 @@ void Engine::rel_stash(fabric::Segment& seg, RailId rail) {
   e.base_timeout = 0;
   e.payload.assign(seg.payload.begin(), seg.payload.end());
   ++rel_live_entries_;
-  ++stats_.rel_segments;
+  emit(EventKind::kSequenced);
 }
 
 void Engine::rel_arm(NodeId dst, std::uint64_t seq, SimDuration predicted_flight) {
@@ -1904,8 +1735,7 @@ void Engine::rel_on_timeout(NodeId dst, std::uint64_t seq, unsigned expected_ret
 
 void Engine::rel_presume_lost(RelTxEntry& entry, bool count_streak) {
   if (count_streak) {
-    ++stats_.rel_drops_inferred;
-    metrics_.on_rel_drop_inferred();
+    emit(EventKind::kDropInferred);
     // Repeated inferred losses concentrated on one rail are a sick link, not
     // independent wire noise: hand it to the PR 2 quarantine/re-probe path.
     if (config_.reliability.loss_streak_quarantine > 0 &&
@@ -1923,10 +1753,9 @@ void Engine::rel_presume_lost(RelTxEntry& entry, bool count_streak) {
 }
 
 void Engine::rel_retransmit(RelTxEntry& entry) {
-  ++stats_.rel_retransmits;
-  metrics_.on_rel_retransmit();
-  flight(trace::FlightKind::kRetransmit, entry.rail, entry.msg_id,
-         static_cast<std::int64_t>(entry.seq), entry.retransmits);
+  emit(EventKind::kRetransmit,
+       {.msg_id = entry.msg_id, .rail = entry.rail,
+        .a = static_cast<std::int64_t>(entry.seq), .b = entry.retransmits});
   // Rebuild the segment from the parked copy — byte-identical to the
   // original (same seq, same CRC), so whichever copy lands first passes
   // verification and the other dies in the receiver's dedup window.
@@ -1953,10 +1782,9 @@ void Engine::rel_retransmit(RelTxEntry& entry) {
 }
 
 void Engine::rel_exhaust(RelTxEntry& entry) {
-  ++stats_.rel_retry_exhausted;
-  metrics_.on_rel_exhausted();
-  flight(trace::FlightKind::kRetryExhausted, entry.rail, entry.msg_id,
-         static_cast<std::int64_t>(entry.seq), entry.retransmits);
+  emit(EventKind::kRetryExhausted,
+       {.msg_id = entry.msg_id, .rail = entry.rail,
+        .a = static_cast<std::int64_t>(entry.seq), .b = entry.retransmits});
   {
     char detail[160];
     std::snprintf(detail, sizeof(detail),
@@ -1997,10 +1825,8 @@ void Engine::rel_retire(NodeId dst, std::uint64_t seq) {
 bool Engine::rel_rx_accept(const fabric::Segment& seg) {
   // (1) Integrity: recompute the CRC over what actually arrived.
   if (config_.reliability.checksum && reliable_crc(seg) != seg.crc) {
-    ++stats_.rel_corruptions;
-    metrics_.on_rel_corruption();
-    flight(trace::FlightKind::kCorruptDetected, seg.rail, seg.msg_id,
-           static_cast<std::int64_t>(seg.seq));
+    emit(EventKind::kCorruptDetected,
+         {.msg_id = seg.msg_id, .rail = seg.rail, .a = static_cast<std::int64_t>(seg.seq)});
     // Corruption is detectable loss: tell the sender now instead of letting
     // it burn the full ACK timeout.
     rel_send_nack(seg.src, seg.seq);
@@ -2022,10 +1848,8 @@ bool Engine::rel_rx_accept(const fabric::Segment& seg) {
     return ((link.rx_bits[(b >> 6) & (link.rx_bits.size() - 1)] >> (b & 63)) & 1) != 0;
   };
   if (seq <= link.rx_cumulative || seen(seq)) {
-    ++stats_.rel_dup_suppressed;
-    metrics_.on_rel_dup_suppressed();
-    flight(trace::FlightKind::kDupSuppressed, seg.rail, seg.msg_id,
-           static_cast<std::int64_t>(seq));
+    emit(EventKind::kDupSuppressed,
+         {.msg_id = seg.msg_id, .rail = seg.rail, .a = static_cast<std::int64_t>(seq)});
     rel_arm_ack(seg.src);
     return false;
   }
@@ -2075,8 +1899,7 @@ void Engine::rel_flush_ack(NodeId src) {
   const StrategyContext ctx = make_context();
   const RailId rail = strategy_ != nullptr ? strategy_->control_rail(ctx) : 0;
   post_segment(rail, std::move(ack), config_.scheduler_core);
-  ++stats_.rel_acks;
-  metrics_.on_rel_ack();
+  emit(EventKind::kAckSent);
 }
 
 void Engine::rel_send_nack(NodeId src, std::uint64_t seq) {
@@ -2087,8 +1910,7 @@ void Engine::rel_send_nack(NodeId src, std::uint64_t seq) {
   const StrategyContext ctx = make_context();
   const RailId rail = strategy_ != nullptr ? strategy_->control_rail(ctx) : 0;
   post_segment(rail, std::move(nack), config_.scheduler_core);
-  ++stats_.rel_nacks;
-  metrics_.on_rel_nack();
+  emit(EventKind::kNackSent);
 }
 
 void Engine::rel_handle_ack(const fabric::Segment& seg) {

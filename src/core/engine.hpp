@@ -18,73 +18,18 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "core/engine_events.hpp"
 #include "core/message.hpp"
 #include "core/strategy_iface.hpp"
 #include "core/wire_format.hpp"
 #include "fabric/fabric.hpp"
 #include "qos/arbiter.hpp"
-#include "telemetry/engine_metrics.hpp"
 #include "telemetry/prediction.hpp"
-#include "trace/flight_recorder.hpp"
-#include "trace/tracer.hpp"
 
 namespace rails::core {
-
-struct EngineStats {
-  std::uint64_t sends = 0;
-  std::uint64_t recvs = 0;
-  std::uint64_t eager_msgs = 0;
-  std::uint64_t rdv_msgs = 0;
-  std::uint64_t eager_segments = 0;      ///< eager segments posted
-  std::uint64_t aggregated_packets = 0;  ///< sub-packets that shared a segment
-  std::uint64_t split_eager_msgs = 0;    ///< eager messages split across rails
-  std::uint64_t offloaded_chunks = 0;    ///< eager chunks submitted remotely
-  std::uint64_t rdv_chunks = 0;          ///< DMA chunks posted
-  std::vector<std::uint64_t> payload_bytes_per_rail;
-
-  // -- fault tolerance (docs/FAULTS.md) --------------------------------
-  std::uint64_t tx_errors = 0;          ///< segments reported dropped by a NIC
-  std::uint64_t chunk_timeouts = 0;     ///< chunks past predicted completion + slack
-  std::uint64_t failovers = 0;          ///< byte ranges re-split onto survivors
-  std::uint64_t retries = 0;            ///< segments re-posted (any kind)
-  std::uint64_t failover_exhausted = 0; ///< ranges that ran out of attempts
-  std::uint64_t quarantines = 0;        ///< rails entering quarantine
-  std::uint64_t reprobes = 0;           ///< quarantine re-probe attempts
-  std::uint64_t reprobe_successes = 0;  ///< re-probes that lifted a quarantine
-  std::uint64_t duplicate_chunks = 0;   ///< receiver-side duplicate DATA chunks
-  std::uint64_t stale_control = 0;      ///< duplicate/unknown control segs ignored
-
-  // -- end-to-end reliability (docs/FAULTS.md) -------------------------
-  std::uint64_t rel_segments = 0;        ///< sequenced segments posted
-  std::uint64_t rel_corruptions = 0;     ///< wire-checksum mismatches detected
-  std::uint64_t rel_drops_inferred = 0;  ///< ACK timeouts presuming silent loss
-  std::uint64_t rel_retransmits = 0;     ///< segments retransmitted end-to-end
-  std::uint64_t rel_dup_suppressed = 0;  ///< sequence-window duplicate drops
-  std::uint64_t rel_retry_exhausted = 0; ///< seqs that ran out of retry budget
-  std::uint64_t rel_acks = 0;            ///< ACK control segments sent
-  std::uint64_t rel_nacks = 0;           ///< NACK control segments sent
-  std::uint64_t rel_parse_rejects = 0;   ///< malformed eager frames dropped
-
-  // -- recalibration (docs/CALIBRATION.md) -----------------------------
-  std::uint64_t recal_corrections = 0;  ///< profile scale corrections applied
-  std::uint64_t recal_resamples = 0;    ///< background re-sampling sweeps run
-  std::uint64_t trust_demotions = 0;    ///< trust-state demotions observed
-  std::uint64_t trust_promotions = 0;   ///< trust-state promotions observed
-
-  // -- traffic-class QoS (docs/QOS.md) ---------------------------------
-  std::uint64_t qos_grants = 0;               ///< sends released by the arbiter
-  std::uint64_t qos_stream_chunks = 0;        ///< windowed bulk chunks posted
-  std::uint64_t qos_admission_rejects = 0;    ///< deadline-infeasible sends refused
-  std::uint64_t qos_admission_downgrades = 0; ///< ... downgraded to BACKGROUND
-  std::uint64_t qos_deadline_hits = 0;        ///< deadline-tagged sends in time
-  std::uint64_t qos_deadline_misses = 0;      ///< ... that completed late
-
-  // -- hot-path memoization (docs/PERF.md) -----------------------------
-  std::uint64_t strategy_cache_hits = 0;    ///< eager plans replayed from cache
-  std::uint64_t strategy_cache_misses = 0;  ///< cacheable plans computed fresh
-};
 
 class Engine {
  public:
@@ -149,12 +94,12 @@ class Engine {
   /// Non-blocking receive from `src` with matching `tag`.
   RecvHandle irecv(NodeId src, Tag tag, void* data, std::size_t capacity);
 
-  const EngineStats& stats() const { return stats_; }
-  void reset_stats();
+  const EngineStats& stats() const { return events_.stats(); }
+  void reset_stats() { events_.reset_stats(); }
 
   /// Attaches an execution tracer (nullptr detaches). The tracer must
   /// outlive the engine or be detached first.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+  void set_tracer(trace::Tracer* tracer) { events_.set_tracer(tracer); }
 
   /// Attaches the always-on flight recorder (nullptr detaches; same
   /// lifetime contract as set_tracer). Data-plane events and control-plane
@@ -312,8 +257,9 @@ class Engine {
   /// makespan across usable rails, busy offsets included). Feeds deadline
   /// admission.
   SimTime earliest_feasible_completion(std::size_t len) const;
-  /// Deadline hit/miss bookkeeping on send completion.
-  void note_qos_completion(const SendRequest& send);
+  /// Marks `send` done at `when` and records its completion; QoS sends also
+  /// settle their deadline. `rail` is the emitting rail of an eager send.
+  void finish_send(SendRequest& send, SimTime when, RailId rail, bool rendezvous);
   /// Windowed rendezvous streaming: posts at most one bulk_chunk-sized
   /// chunk per idle usable rail per sweep, so strict classes grab rail
   /// slots between chunks, then re-arms at the next NIC-idle time.
@@ -341,9 +287,13 @@ class Engine {
   /// Re-splits a lost byte range of `send` across the surviving rails.
   void failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t bytes,
                       RailId failed_rail, unsigned attempt);
-  /// Posts one DATA chunk (failover path) and tracks it for timeout.
-  void post_data_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
-                       std::size_t bytes, unsigned attempt);
+  /// Posts one DATA chunk of `send` and records it, observes its completion
+  /// and arms its timeout. `attempt` > 0 marks a failover re-post, `stream`
+  /// a windowed QoS chunk; `plan` (default: the estimator's prediction) is
+  /// the predicted duration the timeout derives from.
+  void post_chunk(const SendRequest& send, RailId rail, std::uint64_t offset,
+                  std::size_t bytes, unsigned attempt, bool stream,
+                  std::optional<SimDuration> plan = std::nullopt);
   /// Registers a live chunk and arms its timeout event. `dst` feeds the
   /// multi-hop flight allowance (Fabric::extra_path_latency).
   void track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
@@ -449,14 +399,11 @@ class Engine {
   void arm_health();
   bool health_work_pending() const;
 
-  void trace_event(trace::EventKind kind, std::uint64_t msg_id, Tag tag, RailId rail,
-                   CoreId core, std::size_t bytes, SimTime time, SimTime nic_end = 0,
-                   std::uint32_t cls = 0);
-
-  /// Appends one control-plane record to the flight recorder (no-op when
-  /// detached) and refreshes the eviction gauge.
-  void flight(trace::FlightKind kind, RailId rail, std::uint64_t msg_id,
-              std::int64_t a = 0, std::int64_t b = 0);
+  /// Records one engine fact in every sink its kind is routed to
+  /// (core/engine_events.hpp). Each fact has exactly one emit site.
+  void emit(trace::EventKind kind, const EventFields& f = {}) {
+    events_.emit(kind, f, fabric_->now());
+  }
   /// Requests a postmortem bundle dump (no-op when detached/rate-limited).
   void flight_trigger(const char* reason, const std::string& detail);
 
@@ -503,15 +450,13 @@ class Engine {
   std::map<MsgKey, UnexpectedEager> unexpected_;   ///< early eager fragments
   std::vector<UnexpectedRts> unexpected_rts_;      ///< early RTS, FIFO
 
-  EngineStats stats_;
-  trace::Tracer* tracer_ = nullptr;
-  trace::FlightRecorder* flight_ = nullptr;
+  EventFanout events_;  ///< the ledger, registry, Tracer and flight sinks
+  trace::FlightRecorder* flight_ = nullptr;  ///< postmortem triggers
 
   // -- health plane (docs/OBSERVABILITY.md) ------------------------------
   std::unique_ptr<telemetry::HealthSampler> health_;  ///< null when disabled
   std::unique_ptr<telemetry::SloMonitor> slo_;        ///< null without slos
   bool health_armed_ = false;
-  telemetry::EngineMetrics metrics_;
   telemetry::PredictionTracker* predictions_ = nullptr;
   sampling::Recalibrator* recal_ = nullptr;
   std::vector<double> trust_penalty_;      ///< per-rail penalties for contexts

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/topology.hpp"
+#include "topo/machine.hpp"
 #include "common/types.hpp"
 
 namespace rails::fabric {

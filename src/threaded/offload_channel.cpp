@@ -208,14 +208,9 @@ std::shared_ptr<SendTicket> OffloadChannel::send(Tag tag, const void* data,
                         m_ring_hwm_->update_max(rings_[rail]->size());
                       }
                       if (flight_ != nullptr) {
-                        trace::FlightRecord rec;
-                        rec.time = flight_now();
-                        rec.kind = trace::FlightKind::kOffloadPush;
-                        rec.rail = static_cast<RailId>(rail);
-                        rec.msg_id = msg_id;
-                        rec.a = static_cast<std::int64_t>(n);
-                        rec.b = worker;
-                        flight_->record(rec);
+                        flight_->record({flight_now(), trace::EventKind::kOffloadPush, 0,
+                                         static_cast<RailId>(rail), msg_id,
+                                         static_cast<std::int64_t>(n), worker});
                       }
                       worker_chunks_[worker].fetch_add(1, std::memory_order_relaxed);
                       ticket->remaining_.fetch_sub(1, std::memory_order_acq_rel);

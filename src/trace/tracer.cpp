@@ -9,19 +9,13 @@
 namespace rails::trace {
 
 const char* to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kSubmit: return "submit";
-    case EventKind::kRecvPosted: return "recv-posted";
-    case EventKind::kEagerEmit: return "eager-emit";
-    case EventKind::kOffloadSignal: return "offload-signal";
-    case EventKind::kRtsSent: return "rts";
-    case EventKind::kCtsSent: return "cts";
-    case EventKind::kChunkPosted: return "chunk";
-    case EventKind::kSendComplete: return "send-complete";
-    case EventKind::kRecvComplete: return "recv-complete";
-    case EventKind::kFailover: return "failover";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+#define RAILS_EVENT(kind, name, sinks, stat, counter) name,
+#include "trace/event_kinds.def"
+#undef RAILS_EVENT
+  };
+  const auto i = static_cast<std::size_t>(kind);
+  return i < kEventKindCount ? kNames[i] : "?";
 }
 
 ChromeTraceSink::ChromeTraceSink(std::ostream& os) : os_(os) {

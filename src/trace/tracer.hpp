@@ -28,23 +28,9 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "trace/event_kind.hpp"
 
 namespace rails::trace {
-
-enum class EventKind : std::uint8_t {
-  kSubmit,        ///< application called isend
-  kRecvPosted,    ///< application called irecv
-  kEagerEmit,     ///< eager segment handed to a NIC
-  kOffloadSignal, ///< emission routed to a remote core (TO charged)
-  kRtsSent,       ///< rendezvous request out
-  kCtsSent,       ///< rendezvous acknowledged by the receiver
-  kChunkPosted,   ///< one DMA chunk handed to a NIC
-  kSendComplete,  ///< send request finished
-  kRecvComplete,  ///< receive request finished
-  kFailover,      ///< chunk re-split onto surviving rails after an error/timeout
-};
-
-const char* to_string(EventKind kind);
 
 struct TraceEvent {
   SimTime time = 0;

@@ -263,7 +263,7 @@ TEST(Reliability, RetryBudgetExhaustionFailsTheSendInsteadOfHanging) {
   // The exhaustion left a postmortem trail in the flight recorder.
   bool saw_exhaustion = false;
   for (const auto& r : recorder.snapshot()) {
-    if (r.kind == trace::FlightKind::kRetryExhausted) saw_exhaustion = true;
+    if (r.kind == trace::EventKind::kRetryExhausted) saw_exhaustion = true;
   }
   EXPECT_TRUE(saw_exhaustion);
   world.engine(0).set_flight_recorder(nullptr);

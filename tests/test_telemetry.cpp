@@ -10,15 +10,14 @@
 #include <gtest/gtest.h>
 
 #include "core/world.hpp"
-#include "telemetry/engine_metrics.hpp"
 #include "telemetry/prediction.hpp"
 #include "test_util.hpp"
 
 // -- allocation counting -----------------------------------------------------
 //
 // The whole binary routes operator new through this counter so the
-// zero-cost-when-detached contract can be asserted directly: a detached
-// EngineMetrics hook must not allocate.
+// zero-cost-when-detached contract can be asserted directly: emitting an
+// engine fact into a detached registry must not allocate.
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -379,44 +378,58 @@ TEST(PredictionTracker, MergeReplaysRecentWindowChronologically) {
   EXPECT_NEAR(a.recent_accuracy(0).mean_rel_error, 0.25, 1e-9);
 }
 
-// -- EngineMetrics sink ------------------------------------------------------
+// -- engine fact fan-out into the registry -----------------------------------
+
+using trace::EventKind;
+
+/// The facts an eager and a rendezvous message produce, as the engine emits
+/// them (times are virtual ns; `since` turns them into latencies).
+void emit_submit(core::EventFanout& sink, bool rendezvous) {
+  sink.emit(EventKind::kSubmit, {.bytes = 64, .a = rendezvous}, 0);
+}
+void emit_eager_segment(core::EventFanout& sink, RailId rail, std::size_t bytes,
+                        bool offloaded) {
+  sink.emit(EventKind::kEagerSegment, {.rail = rail, .bytes = bytes, .a = 1, .b = offloaded}, 0);
+}
+void emit_send_complete(core::EventFanout& sink, SimDuration latency, bool rendezvous = false) {
+  sink.emit(EventKind::kSendComplete, {.time = latency, .since = 0, .b = rendezvous}, 0);
+}
 
 TEST(EngineMetrics, DetachedHooksDoNotAllocate) {
-  EngineMetrics sink;
-  ASSERT_FALSE(sink.attached());
+  core::EventFanout sink(0, 2);
+  ASSERT_FALSE(sink.metrics_attached());
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
-    sink.on_submit(i % 2 == 0);
-    sink.on_recv_posted();
-    sink.on_progress();
-    sink.on_plan_eager();
-    sink.on_plan_rendezvous();
-    sink.on_eager_emit(0, 4096, true);
-    sink.on_chunk_posted(1, 65536);
-    sink.on_rdv_complete();
-    sink.on_send_complete(1234);
-    sink.on_queueing(56);
-    sink.on_recv_complete(789);
+    emit_submit(sink, i % 2 == 0);
+    sink.emit(EventKind::kRecvPosted, {}, 0);
+    sink.emit(EventKind::kProgress, {}, 0);
+    sink.emit(EventKind::kPlanEager, {}, 0);
+    sink.emit(EventKind::kPlanRendezvous, {}, 0);
+    emit_eager_segment(sink, 0, 4096, true);
+    sink.emit(EventKind::kChunkPosted, {.rail = 1, .bytes = 65536}, 0);
+    emit_send_complete(sink, 1234, /*rendezvous=*/true);
+    sink.emit(EventKind::kEagerEmit, {.time = 56, .since = 0}, 0);
+    sink.emit(EventKind::kRecvComplete, {.time = 789, .since = 0}, 0);
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
-      << "detached telemetry hooks must be allocation-free";
+      << "emitting into detached sinks must be allocation-free";
 }
 
 TEST(EngineMetrics, AttachedHooksHitNamedMetrics) {
   MetricsRegistry reg;
-  EngineMetrics sink;
-  sink.attach(&reg, 2);
+  core::EventFanout sink(0, 2);
+  sink.attach_metrics(&reg);
   sink.set_strategy_name("hetero-split");
-  ASSERT_TRUE(sink.attached());
+  ASSERT_TRUE(sink.metrics_attached());
 
-  sink.on_submit(false);
-  sink.on_submit(true);
-  sink.on_eager_emit(0, 512, false);
-  sink.on_eager_emit(1, 512, true);
-  sink.on_chunk_posted(0, 4096);
-  sink.on_plan_eager();
-  sink.on_plan_rendezvous();
-  sink.on_send_complete(1000);
+  emit_submit(sink, false);
+  emit_submit(sink, true);
+  emit_eager_segment(sink, 0, 512, false);
+  emit_eager_segment(sink, 1, 512, true);
+  sink.emit(EventKind::kChunkPosted, {.rail = 0, .bytes = 4096}, 0);
+  sink.emit(EventKind::kPlanEager, {}, 0);
+  sink.emit(EventKind::kPlanRendezvous, {}, 0);
+  emit_send_complete(sink, 1000);
 
   EXPECT_EQ(reg.find_counter("engine.sends")->value(), 2u);
   EXPECT_EQ(reg.find_counter("engine.eager_msgs")->value(), 1u);
@@ -430,16 +443,16 @@ TEST(EngineMetrics, AttachedHooksHitNamedMetrics) {
   EXPECT_EQ(reg.find_counter("strategy.hetero-split.plan_rendezvous")->value(), 1u);
   EXPECT_EQ(reg.find_histogram("engine.send_latency_ns")->count(), 1u);
 
-  // After attach, the hooks themselves are allocation-free too: every
-  // handle was resolved up front.
+  // After attach, emitting is allocation-free too: every handle was
+  // resolved up front.
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  sink.on_submit(false);
-  sink.on_eager_emit(0, 64, false);
-  sink.on_send_complete(10);
+  emit_submit(sink, false);
+  emit_eager_segment(sink, 0, 64, false);
+  emit_send_complete(sink, 10);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
 
-  sink.attach(nullptr, 0);
-  EXPECT_FALSE(sink.attached());
+  sink.attach_metrics(nullptr);
+  EXPECT_FALSE(sink.metrics_attached());
 }
 
 // -- engine integration ------------------------------------------------------
