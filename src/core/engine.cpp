@@ -942,8 +942,8 @@ void Engine::post_emission(const EagerEmission& emission) {
         .a = static_cast<std::int64_t>(emission.pieces.size()),
         .b = emission.offload_core.has_value()});
   if (observing()) {
-    observe_completion(emission.rail, predicted_end - decision_now,
-                       times.nic_end - decision_now);
+    const SimDuration predicted = predicted_end - decision_now;
+    observe_completion(emission.rail, predicted, predicted, times.nic_end - decision_now);
   }
   if (emission.offload_core) {
     const SendRequest& front = *emission.pieces.front().send;
@@ -1050,7 +1050,13 @@ void Engine::pump_qos_streams() {
       }
       const std::size_t bytes = std::min<std::size_t>(
           config_.qos.bulk_chunk, send.len - it->second.next_offset);
-      post_stream_chunk(send, best, it->second.next_offset, bytes);
+      {
+        RAILS_PERF_SCOPE(perf::Layer::kEmit);
+        post_chunk(send, best, it->second.next_offset, bytes, /*attempt=*/0,
+                   /*stream=*/true);
+      }
+      ++send.chunk_count;
+      send.bytes_posted += bytes;
       it->second.next_offset += bytes;
       progressed = true;
       if (it->second.next_offset >= send.len) {
@@ -1066,14 +1072,6 @@ void Engine::pump_qos_streams() {
 void Engine::arm_qos_pump() {
   const WakePlan plan = plan_wake(WakeScope::kStreams);
   arm_wake(pump_wake_, plan.at, plan.deferred, &Engine::pump_qos_streams);
-}
-
-void Engine::post_stream_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
-                               std::size_t bytes) {
-  RAILS_PERF_SCOPE(perf::Layer::kEmit);
-  post_chunk(send, rail, offset, bytes, /*attempt=*/0, /*stream=*/true);
-  ++send.chunk_count;
-  send.bytes_posted += bytes;
 }
 
 void Engine::stream_chunks(SendRequest& send) {

@@ -265,9 +265,6 @@ class Engine {
   /// slots between chunks, then re-arms at the next NIC-idle time.
   void pump_qos_streams();
   void arm_qos_pump();
-  /// Posts one first-transmission DMA chunk of a windowed stream.
-  void post_stream_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
-                         std::size_t bytes);
 
   /// Posts one segment on `rail`; the submitting core is busy for the host
   /// share of the post. `extra_delay` models offload signalling (TO).
@@ -378,9 +375,6 @@ class Engine {
   /// network.
   void observe_completion(RailId rail, SimDuration plan, SimDuration model,
                           SimDuration actual);
-  void observe_completion(RailId rail, SimDuration predicted, SimDuration actual) {
-    observe_completion(rail, predicted, predicted, actual);
-  }
   /// True when some attached observer wants (predicted, actual) pairs.
   bool observing() const { return predictions_ != nullptr || recal_ != nullptr; }
   void schedule_resample(RailId rail);
@@ -400,7 +394,7 @@ class Engine {
   bool health_work_pending() const;
 
   /// Records one engine fact in every sink its kind is routed to
-  /// (core/engine_events.hpp). Each fact has exactly one emit site.
+  /// (core/engine_events.hpp); the engine writes to no sink any other way.
   void emit(trace::EventKind kind, const EventFields& f = {}) {
     events_.emit(kind, f, fabric_->now());
   }

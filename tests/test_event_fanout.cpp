@@ -17,8 +17,9 @@
 // Three worlds rather than one. With end-to-end reliability on, the ACK
 // timeout owns loss recovery and the failover re-split never runs, so the
 // failover and reliability families need a world each. The drift detector
-// gets a rendezvous-only world: mixed traffic on a trust-penalised rail
-// trips a split-solver rounding check (ROADMAP.md).
+// gets a rendezvous world of its own whose trust demotions come from
+// back-to-back transfers: open-loop traffic on a trust-penalised rail trips
+// the split solver's capacity check (ROADMAP.md, item 3).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -208,11 +209,13 @@ Fingerprint run(World& world, const std::vector<Arrival>& arrivals,
   for (unsigned i = 0; i < one_way_4mib; ++i) {
     done.mix(static_cast<std::uint64_t>(world.measure_one_way(4u << 20)));
   }
+  const auto finished = [](const auto& request) {
+    return request && request->done() ? static_cast<std::uint64_t>(request->complete_time)
+                                      : ~0ull;
+  };
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    done.mix(sends[i] && sends[i]->done() ? static_cast<std::uint64_t>(sends[i]->complete_time)
-                                          : ~0ull);
-    done.mix(recvs[i] && recvs[i]->done() ? static_cast<std::uint64_t>(recvs[i]->complete_time)
-                                          : ~0ull);
+    done.mix(finished(sends[i]));
+    done.mix(finished(recvs[i]));
   }
   fp.completion_hash = done.h;
   for (NodeId n = 0; n < nodes; ++n) fp.ledgers.push_back(ledger(world.engine(n).stats()));
@@ -287,9 +290,10 @@ TEST(EventFanout, FailoverWorld) {
   WorldConfig cfg = paper_testbed("multicore-hetero-split");
   cfg.engine.failover.quarantine = usec(60);
   World world(cfg);
-  world.fabric().nic(0, 1).inject_fault(fault(fabric::FaultKind::kFlap, usec(5000), usec(1000)));
-  world.fabric().nic(0, 0).inject_fault(fault(fabric::FaultKind::kFlap, usec(20000), usec(1000)));
-  fabric::FaultSpec stall = fault(fabric::FaultKind::kLatency, usec(30000), usec(3000));
+  using fabric::FaultKind;
+  world.fabric().nic(0, 1).inject_fault(fault(FaultKind::kFlap, usec(5000), usec(1000)));
+  world.fabric().nic(0, 0).inject_fault(fault(FaultKind::kFlap, usec(20000), usec(1000)));
+  fabric::FaultSpec stall = fault(FaultKind::kLatency, usec(30000), usec(3000));
   stall.extra_latency = usec(2000);
   world.fabric().nic(0, 0).inject_fault(stall);
   const auto arrivals = traffic(21, 360, 900.0, 0.5, 1u << 20);
@@ -373,7 +377,8 @@ TEST(EventFanout, ReliabilityWorld) {
   fabric::FaultSpec corrupt = fault(fabric::FaultKind::kCorrupt, 0, 0);
   corrupt.rate = 0.05;
   world.fabric().nic(0, 1).inject_fault(corrupt);
-  world.fabric().nic(0, 1).inject_fault(fault(fabric::FaultKind::kFlap, usec(5000), usec(1000)));
+  world.fabric().nic(0, 1).inject_fault(
+      fault(fabric::FaultKind::kFlap, usec(5000), usec(1000)));
   fabric::FaultSpec storm = fault(fabric::FaultKind::kDrop, usec(12000), usec(800));
   storm.rate = 0.95;
   world.fabric().nic(0, 0).inject_fault(storm);

@@ -389,9 +389,11 @@ void emit_submit(core::EventFanout& sink, bool rendezvous) {
 }
 void emit_eager_segment(core::EventFanout& sink, RailId rail, std::size_t bytes,
                         bool offloaded) {
-  sink.emit(EventKind::kEagerSegment, {.rail = rail, .bytes = bytes, .a = 1, .b = offloaded}, 0);
+  sink.emit(EventKind::kEagerSegment,
+            {.rail = rail, .bytes = bytes, .a = 1, .b = offloaded}, /*now=*/0);
 }
-void emit_send_complete(core::EventFanout& sink, SimDuration latency, bool rendezvous = false) {
+void emit_send_complete(core::EventFanout& sink, SimDuration latency,
+                        bool rendezvous = false) {
   sink.emit(EventKind::kSendComplete, {.time = latency, .since = 0, .b = rendezvous}, 0);
 }
 
