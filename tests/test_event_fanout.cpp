@@ -10,9 +10,9 @@
 //   - the registry's engine.* / strategy.* counters, gauges and histograms;
 //   - the flight-recorder window: kind, node, rail, msg_id, a, b and time;
 //   - the Tracer's event list, every field.
-// The goldens were recorded before the engine's four recording paths were
-// merged into one emit site, so the refactor had to reproduce them exactly.
-// Kinds are fingerprinted by name, never by enum value.
+// The goldens come from the engine as it was before its four recording
+// paths shared one emit site, so a change to what any sink records must
+// show up here. Kinds are fingerprinted by name, never by enum value.
 //
 // Three worlds rather than one. With end-to-end reliability on, the ACK
 // timeout owns loss recovery and the failover re-split never runs, so the
