@@ -1,11 +1,16 @@
 #include "sampling/profile.hpp"
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "bisection_oracle.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "fabric/presets.hpp"
+#include "sampling/sampler.hpp"
 
 namespace rails::sampling {
 namespace {
@@ -156,6 +161,108 @@ TEST_P(ProfileRandomized, InversePropertyOnRandomProfiles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfileRandomized, ::testing::Range(1, 9));
+
+// -- the closed-form inverse against the bisection it replaced --------------
+
+/// Every preset's sampled rendezvous-chunk and eager tables, plus synthetic
+/// tables with flat segments (in the middle and as the tail) and steep ones
+/// (many nanoseconds per byte).
+std::vector<std::pair<std::string, PerfProfile>> inverse_tables() {
+  std::vector<std::pair<std::string, PerfProfile>> out;
+  for (const RailProfile& rp :
+       sample_rails({fabric::myri10g(), fabric::qsnet2(), fabric::ib_ddr(), fabric::gige_tcp(),
+                     fabric::myri2000(), fabric::seastar_torus()})) {
+    out.emplace_back(rp.name + ".rdv_chunk", rp.rdv_chunk);
+    out.emplace_back(rp.name + ".eager", rp.eager);
+  }
+  out.emplace_back("flat", PerfProfile({{1, 500},
+                                        {64, 500},
+                                        {4_KiB, 9000},
+                                        {1_MiB, 9000},
+                                        {2_MiB, 1900000},
+                                        {8_MiB, 1900000}}));
+  out.emplace_back("steep",
+                   PerfProfile({{1, 100}, {2, 50000}, {4, 200000}, {1_KiB, 900000000}}));
+  out.emplace_back("single-point", PerfProfile({{4_KiB, 7000}}));
+  return out;
+}
+
+/// Budgets around every sample point and every doubling point past the last
+/// sample (one nanosecond either side), plus random budgets up to the
+/// estimate of 32 MiB.
+std::vector<SimDuration> inverse_budgets(const PerfProfile& p, std::uint64_t seed) {
+  std::vector<SimDuration> out;
+  auto around = [&](std::size_t size) {
+    const SimDuration d = p.estimate(size);
+    for (SimDuration delta = -1; delta <= 1; ++delta) out.push_back(d + delta);
+  };
+  for (const SamplePoint& s : p.points()) around(s.size);
+  for (std::size_t size = p.max_size(); size <= 64_MiB && size > 0; size <<= 1) around(size);
+  Xoshiro256 rng(seed);
+  const auto top = static_cast<std::uint64_t>(p.estimate(32_MiB)) + 2;
+  for (int i = 0; i < 2000; ++i) out.push_back(static_cast<SimDuration>(rng.below(top)));
+  return out;
+}
+
+/// The inverse's search ceiling for `p`: the first max_size * 2^k at or
+/// above 1 TiB.
+std::size_t inverse_ceiling(const PerfProfile& p) {
+  std::size_t c = std::max<std::size_t>(p.max_size(), 1);
+  while (c < (std::size_t{1} << 40)) c <<= 1;
+  return c;
+}
+
+TEST(PerfProfileInverse, MatchesBisectionOracle) {
+  std::uint64_t seed = 1;
+  for (const auto& [name, p] : inverse_tables()) {
+    for (const SimDuration budget : inverse_budgets(p, seed++)) {
+      bool plateau = false;
+      const std::size_t old = oracle::profile_inverse(p, budget, &plateau);
+      const std::size_t now = p.max_bytes_within(budget);
+      if (!plateau) {
+        ASSERT_EQ(now, old) << name << " budget " << budget;
+        continue;
+      }
+      // The doubling search stopped on a point whose estimate equals the
+      // budget; the exact inverse goes on to the end of that plateau.
+      ASSERT_GT(now, old) << name << " budget " << budget;
+      ASSERT_LE(p.estimate(now), budget) << name << " budget " << budget;
+    }
+  }
+}
+
+TEST(PerfProfileInverse, IsTheLargestFittingSize) {
+  std::uint64_t seed = 100;
+  for (const auto& [name, p] : inverse_tables()) {
+    const std::size_t ceiling = inverse_ceiling(p);
+    for (const SimDuration budget : inverse_budgets(p, seed++)) {
+      const std::size_t b = p.max_bytes_within(budget);
+      if (p.estimate(0) > budget) {
+        ASSERT_EQ(b, 0u) << name << " budget " << budget;
+        continue;
+      }
+      ASSERT_LE(p.estimate(b), budget) << name << " budget " << budget;
+      ASSERT_LE(b, ceiling) << name;
+      if (b < ceiling) {
+        ASSERT_GT(p.estimate(b + 1), budget) << name << " budget " << budget;
+      }
+    }
+  }
+}
+
+TEST(PerfProfileInverse, RoundTripsPastTheLastSample) {
+  // The bisection returned max_size for the budget estimate(max_size + 1)
+  // whenever the last segment costs under a nanosecond per byte, so a
+  // single-rail split of one byte more than the largest sample could not
+  // place its own message.
+  for (const auto& [name, p] : inverse_tables()) {
+    for (std::size_t size = p.max_size(); size <= 64_MiB && size > 0; size <<= 1) {
+      for (std::size_t b : {size - 1, size, size + 1, size + 2}) {
+        ASSERT_GE(p.max_bytes_within(p.estimate(b)), b) << name << " size " << b;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace rails::sampling

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
+#include "bisection_oracle.hpp"
+#include "common/rng.hpp"
+#include "core/world.hpp"
+#include "fabric/fault.hpp"
 #include "fabric/presets.hpp"
 #include "sampling/sampler.hpp"
 
@@ -271,6 +279,270 @@ TEST_P(SampledSplitProperty, SampledCurvesProduceValidSplits) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SampledSplitProperty,
                          ::testing::Values(64_KiB, 256_KiB, 1_MiB, 4_MiB, 8_MiB),
                          [](const auto& info) { return std::to_string(info.param); });
+
+// -- the closed-form solver against the bisections it replaced --------------
+
+const std::vector<sampling::RailProfile>& preset_profiles() {
+  static const auto profiles = sampling::sample_rails(
+      {fabric::myri10g(), fabric::qsnet2(), fabric::ib_ddr(), fabric::gige_tcp(),
+       fabric::myri2000(), fabric::seastar_torus()});
+  return profiles;
+}
+
+/// Every preset's rendezvous-chunk and eager tables, plus synthetic tables
+/// with flat and steep segments.
+const std::vector<sampling::PerfProfile>& solver_tables() {
+  static const auto tables = [] {
+    std::vector<sampling::PerfProfile> out;
+    for (const auto& rp : preset_profiles()) {
+      out.push_back(rp.rdv_chunk);
+      out.push_back(rp.eager);
+    }
+    out.push_back(sampling::PerfProfile(
+        {{1, 500}, {64, 500}, {4_KiB, 9000}, {1_MiB, 9000}, {2_MiB, 1900000}}));
+    out.push_back(
+        sampling::PerfProfile({{1, 100}, {2, 50000}, {4, 200000}, {1_KiB, 900000000}}));
+    return out;
+  }();
+  return tables;
+}
+
+/// Bytes per input rail of a split (zero for a rail it left out).
+std::vector<std::size_t> bytes_per_rail(const SplitResult& split,
+                                        std::span<const SolverRail> rails) {
+  std::vector<std::size_t> out(rails.size(), 0);
+  for (const Chunk& c : split.chunks) {
+    for (std::size_t i = 0; i < rails.size(); ++i) {
+      if (rails[i].rail == c.rail) out[i] += c.bytes;
+    }
+  }
+  return out;
+}
+
+TEST(EqualFinishOracle, SameChunksAsTheBisectionAtScaleOne) {
+  const auto& tables = solver_tables();
+  Xoshiro256 rng(2024);
+  unsigned compared = 0;
+  unsigned plateau = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t count = 1 + rng.below(4);
+    std::vector<ProfileCost> costs;
+    std::vector<oracle::ProfileCost> old_costs;
+    costs.reserve(count);
+    old_costs.reserve(count);
+    std::vector<SolverRail> rails;
+    std::vector<SolverRail> old_rails;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto* table = &tables[rng.below(tables.size())];
+      costs.emplace_back(table);
+      old_costs.emplace_back(table);
+      // Half the rails are idle; the others stay busy for up to 2 ms.
+      const SimDuration ready =
+          rng.below(2) == 0 ? 0 : static_cast<SimDuration>(rng.below(2000000));
+      rails.push_back({static_cast<RailId>(i), &costs.back(), ready});
+      old_rails.push_back({static_cast<RailId>(i), &old_costs.back(), ready});
+    }
+    // Log-uniform sizes from 1 B to 16 MiB.
+    const auto total = static_cast<std::size_t>(std::exp2(rng.uniform() * 24.0));
+
+    const SplitResult split = solve_equal_finish(rails, total);
+    std::size_t sum = 0;
+    for (const Chunk& c : split.chunks) sum += c.bytes;
+    ASSERT_EQ(sum, total) << "trial " << trial;
+
+    const auto old = oracle::solve_equal_finish(old_rails, total);
+    bool stopped = false;
+    for (const auto& c : old_costs) stopped = stopped || c.plateau_stop();
+    if (old.has_value() && !stopped) {
+      ASSERT_EQ(bytes_per_rail(split, rails), *old) << "trial " << trial << " total " << total;
+      ++compared;
+    } else {
+      // The old inverse stopped short on a doubling plateau somewhere in the
+      // search (or the old solver aborted): the exact one can only finish
+      // the message sooner.
+      ++plateau;
+      if (old.has_value()) {
+        SimTime old_makespan = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+          if ((*old)[i] > 0) {
+            old_makespan =
+                std::max(old_makespan, rails[i].ready_offset + costs[i].duration((*old)[i]));
+          }
+        }
+        ASSERT_LE(split.makespan, old_makespan) << "trial " << trial;
+      }
+    }
+  }
+  // The plateau is a corner (a budget equal to an estimate past the last
+  // sample); nearly every random case must compare chunk for chunk.
+  EXPECT_GE(compared, 3900u);
+  EXPECT_LE(plateau, 100u);
+}
+
+TEST(ProfileCostInverse, AtScaleOneIsTheProfileInverse) {
+  for (const auto& table : solver_tables()) {
+    const ProfileCost cost(&table);
+    Xoshiro256 rng(7);
+    const auto top = static_cast<std::uint64_t>(cost.duration(32_MiB));
+    for (int i = 0; i < 3000; ++i) {
+      const auto budget = static_cast<SimDuration>(rng.below(top));
+      bool plateau = false;
+      const std::size_t old = oracle::profile_inverse(table, budget, &plateau);
+      const std::size_t now = cost.max_bytes_within(budget);
+      ASSERT_EQ(now, table.max_bytes_within(budget)) << "budget " << budget;
+      if (!plateau) {
+        ASSERT_EQ(now, old) << "budget " << budget;
+      }
+    }
+  }
+}
+
+TEST(ProfileCostInverse, RoundTripsAtEveryTrustScale) {
+  const std::vector<double> scales = {1.0, 1.1, 1.3, 1.5, 2.5, 3.0, 4.0};
+  for (const auto& rp : preset_profiles()) {
+    for (const sampling::PerfProfile* table : {&rp.rdv_chunk, &rp.eager}) {
+      for (const double scale : scales) {
+        const ProfileCost cost(table, scale);
+        std::vector<std::size_t> sizes;
+        for (const auto& s : table->points()) {
+          for (std::size_t b : {s.size - 1, s.size, s.size + 1}) sizes.push_back(b);
+        }
+        Xoshiro256 rng(static_cast<std::uint64_t>(scale * 1000.0));
+        for (int i = 0; i < 500; ++i) {
+          sizes.push_back(static_cast<std::size_t>(std::exp2(rng.uniform() * 24.0)));
+        }
+        for (const std::size_t b : sizes) {
+          ASSERT_GE(cost.max_bytes_within(cost.duration(b)), b)
+              << rp.name << " scale " << scale << " bytes " << b;
+        }
+        const SimDuration floor = cost.duration(0);
+        const auto span = static_cast<std::uint64_t>(cost.duration(16_MiB) - floor);
+        for (int i = 0; i < 500; ++i) {
+          const SimDuration budget = floor + static_cast<SimDuration>(rng.below(span));
+          ASSERT_LE(cost.duration(cost.max_bytes_within(budget)), budget)
+              << rp.name << " scale " << scale << " budget " << budget;
+        }
+      }
+    }
+  }
+}
+
+TEST(EqualFinishOracle, ScaledInverseNoLongerAborts) {
+  // duration(2000) = trunc(1000 * 1.1) = 1100, and the old inverse mapped
+  // 1100 back to trunc(1100 / 1.1) = 999 ns, i.e. 1,998 B: at its own
+  // single-rail finish time the rail could not carry the message, and
+  // solve_equal_finish aborted on capacity(hi) >= total.
+  const sampling::PerfProfile table({{0, 0}, {1_MiB, 524288}});
+  const oracle::ProfileCost old(&table, 1.1);
+  const std::vector<SolverRail> old_rails = {{0, &old, 0}};
+  EXPECT_FALSE(oracle::solve_equal_finish(old_rails, 2000).has_value());
+
+  const ProfileCost cost(&table, 1.1);
+  const std::vector<SolverRail> rails = {{0, &cost, 0}};
+  const SplitResult split = solve_equal_finish(rails, 2000);
+  ASSERT_EQ(split.chunks.size(), 1u);
+  EXPECT_EQ(split.chunks[0].bytes, 2000u);
+  EXPECT_EQ(split.makespan, cost.duration(2000));
+}
+
+TEST(EqualFinishOracle, OneByteBeyondTheLastSampleNoLongerAborts) {
+  // At scale 1.0 the old inverse stopped on the last sample whenever the
+  // budget equalled its estimate, so one Myri-10G rail could not take one
+  // byte more than the largest sampled size.
+  const sampling::PerfProfile& table = preset_profiles()[0].rdv_chunk;
+  const std::size_t total = table.max_size() + 1;
+  const oracle::ProfileCost old(&table);
+  const std::vector<SolverRail> old_rails = {{0, &old, 0}};
+  EXPECT_FALSE(oracle::solve_equal_finish(old_rails, total).has_value());
+
+  const ProfileCost cost(&table);
+  const std::vector<SolverRail> rails = {{0, &cost, 0}};
+  const SplitResult split = solve_equal_finish(rails, total);
+  ASSERT_EQ(split.chunks.size(), 1u);
+  EXPECT_EQ(split.chunks[0].bytes, total);
+}
+
+TEST(EqualFinishOracle, FewCostQueriesPerSolve) {
+  // The deadline search probes interpolated deadlines instead of bisecting
+  // ~18 times: count the RailCost queries one solve makes.
+  struct Counting final : RailCost {
+    const RailCost* inner;
+    mutable unsigned queries = 0;
+    explicit Counting(const RailCost* c) : inner(c) {}
+    SimDuration duration(std::size_t b) const override {
+      ++queries;
+      return inner->duration(b);
+    }
+    std::size_t max_bytes_within(SimDuration t) const override {
+      ++queries;
+      return inner->max_bytes_within(t);
+    }
+  };
+  const auto& profiles = preset_profiles();
+  const ProfileCost myri(&profiles[0].rdv_chunk);
+  const ProfileCost qs(&profiles[1].rdv_chunk);
+  const Counting a(&myri);
+  const Counting b(&qs);
+  Xoshiro256 rng(5);
+  unsigned solves = 0;
+  unsigned iterations = 0;
+  for (int i = 0; i < 500; ++i) {
+    const std::vector<SolverRail> rails = {
+        {0, &a, static_cast<SimDuration>(rng.below(300000))},
+        {1, &b, static_cast<SimDuration>(rng.below(300000))}};
+    const auto total = static_cast<std::size_t>(8_KiB * std::exp2(rng.uniform() * 6.0));
+    iterations += solve_equal_finish(rails, total).iterations;
+    ++solves;
+  }
+  EXPECT_LE(a.queries + b.queries, 20u * solves);
+  EXPECT_LE(iterations, 8u * solves);
+}
+
+// A rendezvous-only open loop on a rail degraded 2.5-4x with recalibration
+// on: its trust scale inflates rail 0's costs, and the solver must still
+// place every message (the old inverse could fall one step short of the
+// solver's own upper bound and abort).
+class DegradedRecalibrationWorld : public ::testing::TestWithParam<double> {};
+
+TEST_P(DegradedRecalibrationWorld, OpenLoopCompletes) {
+  core::WorldConfig cfg = core::paper_testbed("hetero-split");
+  cfg.engine.recalibration.enabled = true;
+  core::World world(cfg);
+  fabric::FaultSpec slow;
+  slow.kind = fabric::FaultKind::kDegrade;
+  slow.factor = GetParam();
+  world.fabric().nic(0, 0).inject_fault(slow);
+
+  constexpr unsigned kMessages = 300;
+  Xoshiro256 rng(static_cast<std::uint64_t>(GetParam() * 10.0));
+  std::vector<std::uint8_t> tx(1_MiB, 0x5a);
+  std::vector<std::uint8_t> rx(1_MiB);
+  std::vector<core::SendHandle> sends(kMessages);
+  std::vector<core::RecvHandle> recvs(kMessages);
+  SimTime at = 0;
+  for (unsigned i = 0; i < kMessages; ++i) {
+    // 64 KiB - 1 MiB, ~1,000 MB/s offered.
+    const auto size = static_cast<std::size_t>(64_KiB * std::exp2(rng.uniform() * 4.0));
+    at += static_cast<SimDuration>(rng.below(2 * size));
+    world.fabric().events().at(at, [&, i, size] {
+      recvs[i] = world.engine(1).irecv(0, static_cast<Tag>(i), rx.data(), size);
+      sends[i] = world.engine(0).isend(1, static_cast<Tag>(i), tx.data(), size);
+    });
+  }
+  world.fabric().events().run_all();
+  unsigned done = 0;
+  for (unsigned i = 0; i < kMessages; ++i) {
+    done += sends[i] && recvs[i] && sends[i]->done() && recvs[i]->done() ? 1 : 0;
+  }
+  EXPECT_EQ(done, kMessages);
+  EXPECT_GE(world.engine(0).stats().recal_corrections, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Factors, DegradedRecalibrationWorld,
+                         ::testing::Values(2.5, 3.0, 3.5, 4.0),
+                         [](const auto& info) {
+                           return "x" + std::to_string(static_cast<int>(info.param * 10));
+                         });
 
 }  // namespace
 }  // namespace rails::strategy
