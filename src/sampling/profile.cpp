@@ -1,6 +1,7 @@
 #include "sampling/profile.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -69,23 +70,67 @@ SimDuration PerfProfile::estimate(std::size_t size) const {
 
 std::size_t PerfProfile::max_bytes_within(SimDuration budget) const {
   RAILS_CHECK(!points_.empty());
-  if (budget < estimate(0)) return 0;
-  // Durations are monotone in size, so bisect on bytes. The upper bound
-  // extrapolates past the last sample using its marginal bandwidth.
-  std::size_t lo = 0;
-  std::size_t hi = max_size();
-  if (estimate(hi) < budget) {
-    // Grow hi until the estimate exceeds the budget (or we hit 1 TiB).
-    while (estimate(hi) < budget && hi < (std::size_t{1} << 40)) hi <<= 1;
-  }
-  if (estimate(hi) <= budget) return hi;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo + 1) / 2;
-    if (estimate(mid) <= budget) {
-      lo = mid;
+  if (budget < 0) return 0;  // estimates are never negative
+  // A flat tail fits everything: clamp at the first max_size * 2^k at or
+  // above 1 TiB, where the doubling search this replaced stopped.
+  std::size_t ceiling = std::max<std::size_t>(max_size(), 1);
+  while (ceiling < (std::size_t{1} << 40)) ceiling <<= 1;
+
+  // Solve the segment the budget falls in for the last size whose truncated
+  // estimate fits: lo.duration + slope * (b - lo.size) < budget + 1.
+  std::size_t guess = 0;
+  if (points_.size() == 1) {
+    guess = points_[0].duration <= budget ? ceiling : 0;
+  } else {
+    auto hi = std::upper_bound(points_.begin(), points_.end(), budget,
+                               [](SimDuration b, const SamplePoint& p) { return b < p.duration; });
+    if (hi == points_.begin()) ++hi;
+    if (hi == points_.end()) --hi;
+    const auto lo = hi - 1;
+    const double dx = static_cast<double>(hi->size) - static_cast<double>(lo->size);
+    const double dy = static_cast<double>(hi->duration) - static_cast<double>(lo->duration);
+    const double slope = dx > 0 ? dy / dx : 0.0;
+    if (slope <= 0.0) {
+      guess = lo->duration <= budget ? ceiling : 0;
     } else {
-      hi = mid - 1;
+      const double root =
+          static_cast<double>(lo->size) +
+          (static_cast<double>(budget) + 1.0 - static_cast<double>(lo->duration)) / slope;
+      const double last = std::ceil(root) - 1.0;
+      guess = last <= 0.0 ? 0
+              : last >= static_cast<double>(ceiling) ? ceiling
+                                                      : static_cast<std::size_t>(last);
     }
+  }
+
+  // Confirm against estimate() itself: the answer is a size that fits while
+  // the next one does not, which costs two estimates when the guess is
+  // right. Rounding can leave it a step off; walk toward the boundary with
+  // doubling strides, then bisect. lo always fits, hi never does.
+  const auto fits = [&](std::size_t b) { return estimate(b) <= budget; };
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  if (fits(guess)) {
+    if (guess == ceiling || !fits(guess + 1)) return guess;
+    lo = guess + 1;
+    for (std::size_t stride = 1;; stride <<= 1) {
+      hi = std::min(ceiling, lo + stride);
+      if (!fits(hi)) break;
+      if (hi == ceiling) return ceiling;
+      lo = hi;
+    }
+  } else {
+    hi = guess;
+    for (std::size_t stride = 1;; stride <<= 1) {
+      if (hi == 0) return 0;  // not even an empty message fits
+      lo = hi > stride ? hi - stride : 0;
+      if (fits(lo)) break;
+      hi = lo;
+    }
+  }
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    (fits(mid) ? lo : hi) = mid;
   }
   return lo;
 }

@@ -43,8 +43,10 @@ class PerfProfile {
   SimDuration estimate(std::size_t size) const;
 
   /// Inverse query: the largest byte count whose estimated duration fits in
-  /// `budget`. Returns 0 when even the smallest message does not fit. This
-  /// is what the equal-finish split solver bisects on.
+  /// `budget` (clamped at 1 TiB); 0 when not even an empty message fits.
+  /// Closed form: binary-search the samples for the bracketing segment,
+  /// solve that segment, and confirm with estimate() — two calls unless
+  /// rounding moved the root by a byte.
   std::size_t max_bytes_within(SimDuration budget) const;
 
   /// Asymptotic bandwidth (MB/s) from the last profile segment — the number

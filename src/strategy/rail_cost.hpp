@@ -34,15 +34,25 @@ class ProfileCost final : public RailCost {
   explicit ProfileCost(const sampling::PerfProfile* profile, double cost_scale = 1.0)
       : profile_(profile), cost_scale_(cost_scale) {}
   SimDuration duration(std::size_t bytes) const override {
-    return static_cast<SimDuration>(static_cast<double>(profile_->estimate(bytes)) *
-                                    cost_scale_);
+    return scaled(profile_->estimate(bytes));
   }
+  /// The exact inverse of duration(): the largest estimate whose scaled
+  /// value fits `budget`, then the profile's inverse at that estimate. So
+  /// max_bytes_within(duration(b)) >= b at any scale; at scale 1.0 the
+  /// estimate is the budget itself.
   std::size_t max_bytes_within(SimDuration budget) const override {
-    return profile_->max_bytes_within(
-        static_cast<SimDuration>(static_cast<double>(budget) / cost_scale_));
+    if (budget < 0) return 0;
+    auto estimate = static_cast<SimDuration>(static_cast<double>(budget) / cost_scale_);
+    while (scaled(estimate + 1) <= budget) ++estimate;
+    while (estimate > 0 && scaled(estimate) > budget) --estimate;
+    return profile_->max_bytes_within(estimate);
   }
 
  private:
+  SimDuration scaled(SimDuration estimate) const {
+    return static_cast<SimDuration>(static_cast<double>(estimate) * cost_scale_);
+  }
+
   const sampling::PerfProfile* profile_;
   double cost_scale_ = 1.0;
 };

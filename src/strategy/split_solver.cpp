@@ -135,35 +135,89 @@ SplitResult solve_equal_finish(std::span<const SolverRail> rails, std::size_t to
   RAILS_CHECK(!rails.empty());
   RAILS_CHECK(total > 0);
 
+  // Bytes the rails can finish by `deadline`. Each rail's chord from its
+  // ready instant to the deadline also gives it a rate; the water-fill of
+  // those rates over the ready offsets, sum(rate * (T - ready)) = total, is
+  // the equal-finish deadline of the linear model.
+  double rate_sum = 0.0;
+  double rate_ready = 0.0;
   auto capacity = [&](SimTime deadline) {
     std::size_t cap = 0;
+    rate_sum = 0.0;
+    rate_ready = 0.0;
     for (const auto& r : rails) {
       if (deadline <= r.ready_offset) continue;
-      cap += r.cost->max_bytes_within(deadline - r.ready_offset);
+      const std::size_t bytes = r.cost->max_bytes_within(deadline - r.ready_offset);
+      const double rate =
+          static_cast<double>(bytes) / static_cast<double>(deadline - r.ready_offset);
+      cap += bytes;
+      rate_sum += rate;
+      rate_ready += rate * static_cast<double>(r.ready_offset);
     }
     return cap;
   };
 
-  // Upper bound: the best single rail can always carry everything.
+  // The answer is the smallest deadline T with capacity(T) >= total, as a
+  // bisection would find it; capacity is monotone in T. Bracket it: the best
+  // single rail carries everything by its own finish time (the inverse
+  // round-trips duration), and nothing finishes before the first rail is
+  // ready.
   SimTime hi = finish(rails[best_single_rail(rails, total)], total);
-  SimTime lo = 0;
-  RAILS_CHECK(capacity(hi) >= total);
+  std::size_t cap_hi = capacity(hi);
+  RAILS_CHECK(cap_hi >= total);
+  SimTime lo = hi;
+  for (const auto& r : rails) lo = std::min(lo, r.ready_offset);
+  lo = std::max<SimTime>(lo, 0);
+  std::size_t cap_lo = 0;
 
+  // Probe the water-fill deadline first, then the secant through the last
+  // two probes (capacity is piecewise linear, so it lands within a
+  // nanosecond of the answer once two probes share a segment), rounded up
+  // and kept strictly inside the bracket. A probe one step inside the
+  // bracket closes it. Should interpolation stall on a kink, bisection
+  // finishes the search.
+  constexpr unsigned kInterpolatedProbes = 8;
+  double guess = (static_cast<double>(total) + rate_ready) / rate_sum;
+  SimTime last = hi;
+  std::size_t last_cap = cap_hi;
   unsigned iterations = 0;
   while (hi - lo > 1) {
     ++iterations;
-    const SimTime mid = lo + (hi - lo) / 2;
-    if (capacity(mid) >= total) {
-      hi = mid;
-    } else {
-      lo = mid;
+    SimTime probe = lo + (hi - lo) / 2;
+    if (iterations <= kInterpolatedProbes) {
+      const double up = std::ceil(guess);
+      probe = up <= static_cast<double>(lo + 1)   ? lo + 1
+              : up >= static_cast<double>(hi - 1) ? hi - 1
+                                                  : static_cast<SimTime>(up);
     }
+    const std::size_t cap = capacity(probe);
+    if (cap >= total) {
+      hi = probe;
+      cap_hi = cap;
+    } else {
+      lo = probe;
+      cap_lo = cap;
+    }
+    const double need = static_cast<double>(total);
+    if (cap != last_cap) {
+      guess = static_cast<double>(probe) + (need - static_cast<double>(cap)) *
+                                               static_cast<double>(probe - last) /
+                                               (static_cast<double>(cap) -
+                                                static_cast<double>(last_cap));
+    } else {
+      guess = static_cast<double>(lo) + (need - static_cast<double>(cap_lo)) *
+                                            static_cast<double>(hi - lo) /
+                                            static_cast<double>(cap_hi - cap_lo);
+    }
+    last = probe;
+    last_cap = cap;
   }
   const SimTime deadline = hi;
 
   // Allocate each rail's capacity at the optimal deadline, then trim the
   // surplus (capacity(deadline) may exceed `total` by quantisation) from the
-  // largest chunks first: removing bytes only lowers a rail's finish time.
+  // rails last in input order: removing bytes only lowers a rail's finish
+  // time.
   std::vector<Chunk> chunks;
   chunks.reserve(rails.size());
   std::size_t allocated = 0;

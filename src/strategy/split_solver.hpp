@@ -7,10 +7,13 @@
 // Two solvers are provided:
 //  * dichotomy_split — the paper's own two-rail algorithm: bisect the split
 //    ratio until the predicted finish times of both chunks match.
-//  * solve_equal_finish — a k-rail generalisation that bisects on the common
-//    deadline instead of the ratio. Busy rails whose availability offset
-//    exceeds the deadline naturally receive zero bytes, which implements the
-//    NIC-selection rule of Fig. 2 for free.
+//  * solve_equal_finish — a k-rail generalisation that solves for the common
+//    deadline instead of the ratio. Each rail's cost curve is piecewise
+//    linear, so the deadline comes from the rails' linear segments: an
+//    equal-finish water-fill over the ready offsets, refined by secant
+//    probes and confirmed with the exact integer test. Busy rails whose
+//    availability offset exceeds the deadline naturally receive zero bytes,
+//    which implements the NIC-selection rule of Fig. 2 for free.
 #pragma once
 
 #include <cstddef>
@@ -52,10 +55,15 @@ struct DichotomyConfig {
 SplitResult dichotomy_split(const SolverRail& a, const SolverRail& b, std::size_t total,
                             const DichotomyConfig& config = {});
 
-/// K-rail equal-finish solver. Bisects the deadline T: each rail contributes
-/// max_bytes_within(T - ready_offset) bytes; the smallest T whose aggregate
-/// capacity covers `total` is the optimum. Surplus capacity at the final T is
-/// trimmed proportionally so chunk offsets exactly tile the message.
+/// K-rail equal-finish solver. Each rail contributes
+/// max_bytes_within(T - ready_offset) bytes by a deadline T; the smallest T
+/// whose aggregate capacity covers `total` is the optimum. The search
+/// probes the water-fill deadline of the rails' linear models, then secant
+/// steps through the last two probes, and stops when capacity(T) >= total
+/// and capacity(T - 1) < total — the deadline a bisection would find, in a
+/// handful of probes. Surplus capacity at the final T is trimmed from the
+/// later rails so chunk offsets exactly tile the message.
+/// `SplitResult::iterations` counts the deadline probes.
 SplitResult solve_equal_finish(std::span<const SolverRail> rails, std::size_t total);
 
 /// Convenience: predicted completion of sending everything on one rail.

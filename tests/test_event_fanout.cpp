@@ -338,23 +338,23 @@ TEST(EventFanout, RecalibrationWorld) {
   const Fingerprint got = run(world, arrivals, {{usec(900), 0}}, 15);
 
   Fingerprint golden;
-  golden.completion_hash = 9560195853160371210ull;
+  golden.completion_hash = 9700759746551982331ull;
   golden.ledgers = {
-      "sends=128 recvs=37 rdv_msgs=128 rdv_chunks=237 rail0=39930958 "
-      "rail1=64013011 recal_corrections=2 recal_resamples=1 trust_demotions=1 "
+      "sends=128 recvs=37 rdv_msgs=128 rdv_chunks=237 rail0=39930969 "
+      "rail1=64013000 recal_corrections=2 recal_resamples=1 trust_demotions=1 "
       "trust_promotions=1",
-      "sends=37 recvs=128 rdv_msgs=37 rdv_chunks=74 rail0=5471357 "
-      "rail1=5525726 recal_corrections=1"};
-  golden.registry_hash = 2739166342540700688ull;
+      "sends=37 recvs=128 rdv_msgs=37 rdv_chunks=74 rail0=5471361 "
+      "rail1=5525722 recal_corrections=1"};
+  golden.registry_hash = 10664425800196271389ull;
   golden.flight_kinds =
       "chunk=311 recv-complete=165 resample=1 scale-correction=3 "
       "send-complete=164 submit=165 trigger=1 trust-demotion=1 "
       "trust-promotion=1";
-  golden.flight_hash = 10324232791436110313ull;
+  golden.flight_hash = 2444232906966902746ull;
   golden.trace_kinds =
       "chunk=311 cts=165 recv-complete=165 recv-posted=165 rts=165 "
       "send-complete=164 submit=165";
-  golden.trace_hash = 13829984827856633967ull;
+  golden.trace_hash = 8709159828556358797ull;
   expect_fingerprint(got, golden);
 }
 
