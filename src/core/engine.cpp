@@ -1439,7 +1439,7 @@ RailId Engine::repost_rail(const fabric::Segment& seg) const {
 
 void Engine::track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
                          std::size_t bytes, RailId rail, unsigned attempt,
-                         SimTime decision_now, SimDuration predicted) {
+                         SimTime armed_from, SimDuration predicted) {
   live_chunks_[msg_id][offset] = attempt;
   if (!config_.failover.enabled) return;
   // With end-to-end reliability on, the ACK timeout owns loss detection for
@@ -1456,7 +1456,7 @@ void Engine::track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
       predicted + fabric_->extra_path_latency(self_, dst, rail);
   const auto slack = static_cast<SimDuration>(config_.failover.timeout_slack *
                                               static_cast<double>(flight));
-  const SimTime deadline = decision_now + std::max(config_.failover.min_timeout, slack);
+  const SimTime deadline = armed_from + std::max(config_.failover.min_timeout, slack);
   fabric_->events().at(deadline, [this, msg_id, offset, bytes, rail, attempt] {
     on_chunk_timeout(msg_id, offset, bytes, rail, attempt);
   });
@@ -1576,7 +1576,12 @@ void Engine::post_chunk(const SendRequest& send, RailId rail, std::uint64_t offs
         .since = first ? send.submit_time : -1, .cls = attempt == 0 ? send.qos_class : 0,
         .a = stream});
   observe_completion(rail, plan.value_or(model), model, times.nic_end - now);
-  track_chunk(send.id, send.dst, offset, bytes, rail, attempt, now, plan.value_or(model));
+  // The watchdog arms from the instant the host core starts the post: time
+  // spent waiting behind the submitting core's earlier copies is not flight
+  // time. It never arms from nic_end, which is simulator ground truth the
+  // host cannot know (it already contains any degrade).
+  track_chunk(send.id, send.dst, offset, bytes, rail, attempt, times.host_start,
+              plan.value_or(model));
 }
 
 void Engine::quarantine_rail(RailId rail) {

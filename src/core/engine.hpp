@@ -291,11 +291,12 @@ class Engine {
   void post_chunk(const SendRequest& send, RailId rail, std::uint64_t offset,
                   std::size_t bytes, unsigned attempt, bool stream,
                   std::optional<SimDuration> plan = std::nullopt);
-  /// Registers a live chunk and arms its timeout event. `dst` feeds the
+  /// Registers a live chunk and arms its timeout event, `armed_from` (the
+  /// post's host start) plus the slack-scaled prediction. `dst` feeds the
   /// multi-hop flight allowance (Fabric::extra_path_latency).
   void track_chunk(std::uint64_t msg_id, NodeId dst, std::uint64_t offset,
                    std::size_t bytes, RailId rail, unsigned attempt,
-                   SimTime decision_now, SimDuration predicted);
+                   SimTime armed_from, SimDuration predicted);
   void quarantine_rail(RailId rail);
   void schedule_reprobe(RailId rail);
   void reprobe_rail(RailId rail);

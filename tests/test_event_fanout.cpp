@@ -300,26 +300,26 @@ TEST(EventFanout, FailoverWorld) {
   const Fingerprint got = run(world, arrivals);
 
   Fingerprint golden;
-  golden.completion_hash = 15007127926495859736ull;
+  golden.completion_hash = 16936855029919429517ull;
   golden.ledgers = {
-      "sends=270 recvs=90 eager_msgs=143 rdv_msgs=127 eager_segments=140 "
-      "aggregated_packets=35 split_eager_msgs=21 offloaded_chunks=42 "
-      "rdv_chunks=252 rail0=22986878 rail1=19724570 tx_errors=2 "
-      "chunk_timeouts=6 failovers=8 retries=8 quarantines=8 reprobes=15 "
-      "reprobe_successes=8 strategy_cache_hits=2 strategy_cache_misses=124",
+      "sends=270 recvs=90 eager_msgs=143 rdv_msgs=127 eager_segments=138 "
+      "aggregated_packets=37 split_eager_msgs=21 offloaded_chunks=42 "
+      "rdv_chunks=250 rail0=22984504 rail1=19732016 tx_errors=2 "
+      "chunk_timeouts=5 failovers=7 retries=7 quarantines=7 reprobes=14 "
+      "reprobe_successes=7 strategy_cache_hits=4 strategy_cache_misses=125",
       "sends=90 recvs=270 eager_msgs=44 rdv_msgs=46 eager_segments=51 "
-      "split_eager_msgs=7 offloaded_chunks=14 rdv_chunks=92 rail0=8574156 "
-      "rail1=6210570 duplicate_chunks=6 strategy_cache_misses=44"};
-  golden.registry_hash = 17804819635656549941ull;
+      "split_eager_msgs=7 offloaded_chunks=14 rdv_chunks=92 rail0=8574668 "
+      "rail1=6210058 duplicate_chunks=5 strategy_cache_misses=44"};
+  golden.registry_hash = 12095741580781841315ull;
   golden.flight_kinds =
-      "chunk=344 chunk-timeout=6 eager-emit=215 failover=8 offload-signal=56 "
-      "quarantine=8 recv-complete=360 reprobe=15 send-complete=360 submit=360 "
-      "trigger=16 tx-error=2";
-  golden.flight_hash = 5453254847562985996ull;
+      "chunk=342 chunk-timeout=5 eager-emit=215 failover=7 offload-signal=56 "
+      "quarantine=7 recv-complete=360 reprobe=14 send-complete=360 submit=360 "
+      "trigger=14 tx-error=2";
+  golden.flight_hash = 17594053849401872952ull;
   golden.trace_kinds =
-      "chunk=344 cts=173 eager-emit=215 failover=8 offload-signal=56 "
+      "chunk=342 cts=173 eager-emit=215 failover=7 offload-signal=56 "
       "recv-complete=360 recv-posted=360 rts=173 send-complete=360 submit=360";
-  golden.trace_hash = 14800244920862190830ull;
+  golden.trace_hash = 2777708447594822709ull;
   expect_fingerprint(got, golden);
 }
 
@@ -350,11 +350,11 @@ TEST(EventFanout, RecalibrationWorld) {
       "chunk=311 recv-complete=165 resample=1 scale-correction=3 "
       "send-complete=164 submit=165 trigger=1 trust-demotion=1 "
       "trust-promotion=1";
-  golden.flight_hash = 2444232906966902746ull;
+  golden.flight_hash = 11687338878923045443ull;
   golden.trace_kinds =
       "chunk=311 cts=165 recv-complete=165 recv-posted=165 rts=165 "
       "send-complete=164 submit=165";
-  golden.trace_hash = 8709159828556358797ull;
+  golden.trace_hash = 9984106420055049542ull;
   expect_fingerprint(got, golden);
 }
 

@@ -158,21 +158,17 @@ WorldConfig short_windows(const std::string& strategy, SimDuration quarantine,
   return cfg;
 }
 
-// (a) A hetero-split open loop at 1,400 MB/s: the chunk watchdog, blind to
-// the time a chunk waits behind a busy NIC, quarantines a healthy rail.
+// (a) A hetero-split open loop at 1,400 MB/s: chunks wait behind the
+// submitting core's earlier PIO copies before their post starts. The chunk
+// watchdog arms from that host start, so the wait no longer reads as loss
+// and no healthy rail is quarantined.
 TEST(Wakeups, SpuriousQuarantineUnderOpenLoop) {
   World world(paper_testbed("hetero-split"));
   const auto arrivals = open_loop(11, 450, 1400.0, 8u << 10, 512u << 10);
   const Outcome got = run(world, arrivals);
   Outcome golden;
-  golden.completion_hash = 6915550659602115015ull;
-  golden.rail_bytes = {32422309, 23996295};
-  golden.chunk_timeouts = 1;
-  golden.quarantines = 1;
-  golden.failovers = 1;
-  golden.retries = 1;
-  golden.reprobes = 1;
-  golden.reprobe_successes = 1;
+  golden.completion_hash = 752664960636761409ull;
+  golden.rail_bytes = {33191180, 23175176};
   expect_outcome(got, golden, arrivals.size());
   expect_few_wakeups(got, arrivals.size());
 }
