@@ -786,8 +786,9 @@ void Engine::finish_send(SendRequest& send, SimTime when, RailId rail, bool rend
 void Engine::schedule_retry() {
   // Re-interrogate when the earliest NIC the planner can use frees up ("the
   // packet scheduler is only activated when a NIC becomes idle in order to
-  // feed it"). An idle quarantined NIC is no reason to wake: its lift bumps
-  // the decision epoch, which pulls the wake (note_planner_input).
+  // feed it"). An idle NIC is no reason to wake: the strategy just declined
+  // it, or it is quarantined, and either stays so until a planner input
+  // (submission, quarantine, lift) pulls the wake (note_planner_input).
   const WakePlan plan = plan_wake(WakeScope::kPlanner);
   arm_wake(progress_wake_, plan.at, plan.deferred, &Engine::progress);
 }
@@ -796,16 +797,21 @@ Engine::WakePlan Engine::plan_wake(WakeScope scope) const {
   const SimTime now = fabric_->now();
   bool any_usable = false;
   for (RailId r = 0; r < nics_.size(); ++r) any_usable = any_usable || rail_usable(r);
+  // Only the QoS arbiter moves with time alone (aging, DRR rounds): while
+  // it holds a backlog, an idle rail still means "feed it next nanosecond".
+  // The stream pump posts on every idle usable rail it is woken for.
+  const bool feed_idle = scope == WakeScope::kStreams || (qos_ != nullptr && qos_->backlog());
   WakePlan plan;
   for (RailId r = 0; r < nics_.size(); ++r) {
     const SimTime busy = nics_[r]->busy_until();
-    if (rail_usable(r) || (!any_usable && scope == WakeScope::kPlanner)) {
+    const bool usable = rail_usable(r) || (!any_usable && scope == WakeScope::kPlanner);
+    if (usable && (busy > now || feed_idle)) {
       plan.at = std::min(plan.at, std::max(busy, now + 1));
     } else if (scope == WakeScope::kPlanner) {
       if (busy > now) {
         plan.at = std::min(plan.at, busy);
       } else {
-        plan.deferred = true;  // idle quarantined rail: wait for its lift
+        plan.deferred = true;  // idle rail: wait for an input change
       }
     }
   }

@@ -232,9 +232,10 @@ class Engine {
     SimTime at = kSimTimeNever;
     bool deferred = false;
   };
-  /// Earliest instant a `scope` input can change on its own: a rail the
-  /// scope may use frees (never earlier than now + 1), or, for kPlanner, a
-  /// busy quarantined rail frees.
+  /// Earliest instant a `scope` input can change on its own: a busy rail
+  /// frees (for kStreams, only a usable one). An idle rail defers a kPlanner
+  /// wake to the next planner input, unless a QoS backlog waits on the
+  /// arbiter; kStreams feeds idle usable rails at now + 1.
   WakePlan plan_wake(WakeScope scope) const;
   /// Arms an unarmed `wake` at `when`. An armed wake moves only when it is
   /// deferred and `when` is earlier; a plain one stays at its NIC-free

@@ -1,7 +1,8 @@
 // Event-driven scheduler wakeups (docs/PERF.md, "Scheduler wakeups").
 //
-// An idle quarantined rail is no reason to wake the packet scheduler: the
-// planner sleeps until a rail it may use frees, and every planner-input
+// An idle rail — quarantined, or declined by the strategy — is no reason to
+// wake the packet scheduler: the planner sleeps until a busy rail frees,
+// and every planner-input
 // change (quarantine, lift, failover, submission) pulls the sleeping wake to
 // the present. Each scenario below replays a quarantine window under load
 // and pins two things:
@@ -9,8 +10,7 @@
 //     the fault counters) against golden values recorded with the former
 //     1 ns progress poll, which observed every input change by construction;
 //   - the scheduler passes and DES events per message, which that poll
-//     drove into the thousands (scenario (e) polls by design and checks
-//     the engine.progress_empty counter instead).
+//     drove into the thousands.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,7 +141,7 @@ void expect_outcome(const Outcome& got, const Outcome& golden, std::size_t msgs)
 }
 
 /// Scheduler passes and DES events per message stay small. The 1 ns poll
-/// ran thousands of each per message in (a)-(d), and in (f) the stream
+/// ran thousands of each per message in (a)-(e), and in (f) the stream
 /// pump polled instead of the planner.
 void expect_few_wakeups(const Outcome& got, std::size_t msgs) {
   EXPECT_LE(got.progress_calls, 8 * msgs);
@@ -253,11 +253,10 @@ TEST(Wakeups, SingleRailOnQuarantinedRail) {
   golden.reprobes = 1;
   golden.reprobe_successes = 1;
   expect_outcome(got, golden, arrivals.size());
-  // Rail 1 stays usable and idle, so the planner still wakes every
-  // nanosecond while sends queue behind rail 0: SingleRail defers with an
-  // idle rail in its usable set, fault or no fault. The "why not" counter
-  // shows that waste for what it is.
-  EXPECT_GE(got.progress_empty * 100, got.progress_calls * 99);
+  // Rail 1 stays usable and idle while sends queue behind rail 0:
+  // SingleRail declines it, and an idle rail the strategy declined is no
+  // reason to wake, so the planner sleeps until rail 0 frees.
+  expect_few_wakeups(got, arrivals.size());
 }
 
 // (f) QoS windowed streams with every rail quarantined: the stream pump
