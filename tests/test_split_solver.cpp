@@ -498,35 +498,50 @@ TEST(EqualFinishOracle, FewCostQueriesPerSolve) {
   EXPECT_LE(iterations, 8u * solves);
 }
 
-// A rendezvous-only open loop on a rail degraded 2.5-4x with recalibration
-// on: its trust scale inflates rail 0's costs, and the solver must still
-// place every message (the old inverse could fall one step short of the
-// solver's own upper bound and abort).
-class DegradedRecalibrationWorld : public ::testing::TestWithParam<double> {};
+// A rendezvous-only open loop (32 KiB - 1 MiB, one message in four from
+// node 1) on a rail
+// degraded 2.5-4x with recalibration on: the SUSPECT rail's trust penalty
+// scales its costs, and the old scaled inverse could fall one step short of
+// the solver's own upper bound and abort on capacity(hi) >= total. Each
+// case below aborted that way before the inverse became exact.
+struct DegradedCase {
+  double factor;
+  std::uint64_t seed;
+};
+
+void PrintTo(const DegradedCase& c, std::ostream* os) {
+  *os << c.factor << "x, seed " << c.seed;
+}
+
+class DegradedRecalibrationWorld : public ::testing::TestWithParam<DegradedCase> {};
 
 TEST_P(DegradedRecalibrationWorld, OpenLoopCompletes) {
+  const DegradedCase& c = GetParam();
   core::WorldConfig cfg = core::paper_testbed("hetero-split");
   cfg.engine.recalibration.enabled = true;
   core::World world(cfg);
   fabric::FaultSpec slow;
   slow.kind = fabric::FaultKind::kDegrade;
-  slow.factor = GetParam();
+  slow.factor = c.factor;
   world.fabric().nic(0, 0).inject_fault(slow);
 
-  constexpr unsigned kMessages = 300;
-  Xoshiro256 rng(static_cast<std::uint64_t>(GetParam() * 10.0));
-  std::vector<std::uint8_t> tx(1_MiB, 0x5a);
-  std::vector<std::uint8_t> rx(1_MiB);
+  constexpr unsigned kMessages = 400;
+  constexpr std::size_t kMaxSize = 1_MiB;
+  Xoshiro256 rng(c.seed);
+  const double mean_gap_ns = static_cast<double>(kMaxSize) / 8.0 / 900.0 * 1e3;
+  std::vector<std::uint8_t> tx(kMaxSize, 0x5a);
+  std::vector<std::uint8_t> rx(kMaxSize);
   std::vector<core::SendHandle> sends(kMessages);
   std::vector<core::RecvHandle> recvs(kMessages);
   SimTime at = 0;
   for (unsigned i = 0; i < kMessages; ++i) {
-    // 64 KiB - 1 MiB, ~1,000 MB/s offered.
-    const auto size = static_cast<std::size_t>(64_KiB * std::exp2(rng.uniform() * 4.0));
-    at += static_cast<SimDuration>(rng.below(2 * size));
-    world.fabric().events().at(at, [&, i, size] {
-      recvs[i] = world.engine(1).irecv(0, static_cast<Tag>(i), rx.data(), size);
-      sends[i] = world.engine(0).isend(1, static_cast<Tag>(i), tx.data(), size);
+    at += static_cast<SimDuration>(-std::log(std::max(1e-12, rng.uniform())) * mean_gap_ns);
+    const auto size =
+        static_cast<std::size_t>(32_KiB * std::pow(32.0, rng.uniform()));  // to 1 MiB
+    const NodeId src = i % 4 == 3 ? 1 : 0;
+    world.fabric().events().at(at, [&, i, size, src] {
+      recvs[i] = world.engine(1 - src).irecv(src, static_cast<Tag>(i), rx.data(), size);
+      sends[i] = world.engine(src).isend(1 - src, static_cast<Tag>(i), tx.data(), size);
     });
   }
   world.fabric().events().run_all();
@@ -535,13 +550,18 @@ TEST_P(DegradedRecalibrationWorld, OpenLoopCompletes) {
     done += sends[i] && recvs[i] && sends[i]->done() && recvs[i]->done() ? 1 : 0;
   }
   EXPECT_EQ(done, kMessages);
-  EXPECT_GE(world.engine(0).stats().recal_corrections, 1u);
+  // Some engine demoted a rail to SUSPECT, so its penalty scaled the costs.
+  EXPECT_GE(world.engine(0).stats().trust_demotions + world.engine(1).stats().trust_demotions,
+            1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Factors, DegradedRecalibrationWorld,
-                         ::testing::Values(2.5, 3.0, 3.5, 4.0),
+                         ::testing::Values(DegradedCase{2.5, 3}, DegradedCase{3.0, 5},
+                                           DegradedCase{3.5, 1}, DegradedCase{4.0, 9}),
                          [](const auto& info) {
-                           return "x" + std::to_string(static_cast<int>(info.param * 10));
+                           std::string name = "x";  // x25 is a 2.5x slowdown
+                           name += std::to_string(static_cast<int>(info.param.factor * 10));
+                           return name;
                          });
 
 }  // namespace
