@@ -43,7 +43,8 @@ class PerfProfile {
   SimDuration estimate(std::size_t size) const;
 
   /// Inverse query: the largest byte count whose estimated duration fits in
-  /// `budget` (clamped at 1 TiB); 0 when not even an empty message fits.
+  /// `budget` (a flat tail clamps near 1 TiB); 0 when not even an empty
+  /// message fits.
   /// Closed form: binary-search the samples for the bracketing segment,
   /// solve that segment, and confirm with estimate() — two calls unless
   /// rounding moved the root by a byte.

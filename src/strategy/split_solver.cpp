@@ -177,7 +177,8 @@ SplitResult solve_equal_finish(std::span<const SolverRail> rails, std::size_t to
   // bracket closes it. Should interpolation stall on a kink, bisection
   // finishes the search.
   constexpr unsigned kInterpolatedProbes = 8;
-  double guess = (static_cast<double>(total) + rate_ready) / rate_sum;
+  const double need = static_cast<double>(total);
+  double guess = (need + rate_ready) / rate_sum;
   SimTime last = hi;
   std::size_t last_cap = cap_hi;
   unsigned iterations = 0;
@@ -198,7 +199,6 @@ SplitResult solve_equal_finish(std::span<const SolverRail> rails, std::size_t to
       lo = probe;
       cap_lo = cap;
     }
-    const double need = static_cast<double>(total);
     if (cap != last_cap) {
       guess = static_cast<double>(probe) + (need - static_cast<double>(cap)) *
                                                static_cast<double>(probe - last) /
