@@ -110,7 +110,7 @@ void Engine::set_strategy(std::unique_ptr<Strategy> strategy) {
   RAILS_CHECK(strategy != nullptr);
   strategy_ = std::move(strategy);
   events_.set_strategy_name(strategy_->name());
-  invalidate_decisions();  // cached plans belong to the old strategy
+  note_planner_input();  // the new strategy may post what the old one declined
 }
 
 void Engine::set_metrics(telemetry::MetricsRegistry* registry) {
@@ -232,10 +232,9 @@ void Engine::observe_completion(RailId rail, SimDuration plan, SimDuration model
   if (predictions_ != nullptr) predictions_->record(rail, plan, actual);
   if (recal_ == nullptr) return;
   const auto out = recal_->observe(rail, model, actual, fabric_->now());
-  // A scale correction or trust transition changes estimator outputs (and
-  // thus what the planner would decide) without touching the cache key —
-  // orphan every memoized decision.
-  if (out.scale_corrected || out.state_changed) invalidate_decisions();
+  // A scale correction or trust transition changes estimator outputs, and
+  // thus what the planner would decide.
+  if (out.scale_corrected || out.state_changed) note_planner_input();
   if (out.scale_corrected) {
     emit(EventKind::kScaleCorrection, {.rail = rail, .a = x1000(recal_->scale(rail))});
   }
@@ -278,7 +277,7 @@ void Engine::run_resample(RailId rail) {
   sampling::RailProfile fresh = sampling::resample_rail_via_preview(
       *nics_[rail], now, config_.recalibration.resample_sampler);
   recal_->complete_resample(rail, std::move(fresh), now);
-  invalidate_decisions();  // the rail's cost profile just changed
+  note_planner_input();  // the rail's cost profile just changed
   emit(EventKind::kResample, {.rail = rail, .a = x1000(recal_->scale(rail))});
   emit(EventKind::kTrustState, {.rail = rail, .a = static_cast<int>(recal_->trust(rail))});
 }
@@ -558,8 +557,13 @@ void Engine::progress() {
     }
     group_sends_[g].push_back(s.get());
   }
+  // Each group is planned afresh, against the NIC and core state the
+  // previous groups' posts left.
   for (std::size_t g = 0; g < groups_used_; ++g) {
-    plan_group(std::span<const SendRequest* const>(group_sends_[g]));
+    const StrategyContext ctx = make_context();
+    emit(EventKind::kPlanEager);
+    const EagerSchedule schedule = strategy_->plan_eager(ctx, group_sends_[g]);
+    for (const EagerEmission& emission : schedule.emissions) post_emission(emission);
   }
   if (stats().eager_segments == segments_before) emit(EventKind::kProgressEmpty);
 
@@ -571,135 +575,6 @@ void Engine::progress() {
   });
 
   if (!pending_eager_.empty() || (qos_ != nullptr && qos_->backlog())) schedule_retry();
-}
-
-void Engine::plan_group(std::span<const SendRequest* const> group) {
-  const StrategyContext ctx = make_context();
-  emit(EventKind::kPlanEager);
-
-  // Decision cache (docs/PERF.md): when the strategy declares this
-  // interrogation pure — a function of the usable/idle rail sets, the idle
-  // core set, and the exact (size, class) run — replay the stored emission
-  // plan instead of re-running the planner. Keys hold the exact inputs, so
-  // a hit reproduces the uncached decision bit-for-bit; every event that
-  // could change a decision bumps decision_epoch_ and orphans all entries.
-  bool cacheable = config_.strategy_cache && nics_.size() <= 64 &&
-                   fabric_->cores(self_).count() <= 64 && !ctx.trust_compromised;
-  if (cacheable && recal_ != nullptr) {
-    // Trust penalties scale solver costs continuously; cache only the
-    // clean-trust steady state (penalty transitions bump the epoch anyway —
-    // this guards the window where a penalty is active).
-    for (RailId r = 0; r < nics_.size(); ++r) {
-      cacheable = cacheable && trust_penalty_[r] == 1.0;
-    }
-  }
-  cacheable = cacheable && strategy_->eager_plan_cacheable(ctx, group);
-  if (!cacheable) {
-    EagerSchedule schedule = strategy_->plan_eager(ctx, group);
-    for (const EagerEmission& emission : schedule.emissions) post_emission(emission);
-    return;
-  }
-
-  std::uint64_t usable_mask = 0;
-  std::uint64_t idle_rail_mask = 0;
-  for (RailId r = 0; r < nics_.size(); ++r) {
-    if (ctx.rail_usable(r)) usable_mask |= 1ull << r;
-    if (ctx.nics[r]->idle(ctx.now)) idle_rail_mask |= 1ull << r;
-  }
-  const fabric::SimCores& cores = fabric_->cores(self_);
-  std::uint64_t idle_core_mask = 0;
-  for (CoreId c = 0; c < cores.count(); ++c) {
-    if (cores.idle(c, ctx.now)) idle_core_mask |= 1ull << c;
-  }
-
-  // FNV-1a over the masks and the (len, class) run.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(usable_mask);
-  mix(idle_rail_mask);
-  mix(idle_core_mask);
-  for (const SendRequest* s : group) {
-    mix(s->len);
-    mix(s->qos_class);
-  }
-  if (decision_cache_.empty()) decision_cache_.resize(kDecisionSlots);
-  DecisionEntry& entry = decision_cache_[h & (kDecisionSlots - 1)];
-
-  const bool hit = entry.epoch == decision_epoch_ && entry.usable_mask == usable_mask &&
-                   entry.idle_rail_mask == idle_rail_mask &&
-                   entry.idle_core_mask == idle_core_mask &&
-                   entry.key.size() == group.size() &&
-                   [&] {
-                     for (std::size_t i = 0; i < group.size(); ++i) {
-                       if (entry.key[i].first != group[i]->len ||
-                           entry.key[i].second != group[i]->qos_class) {
-                         return false;
-                       }
-                     }
-                     return true;
-                   }();
-  if (hit) {
-    emit(EventKind::kPlanCacheHit);
-    for (const CachedEmission& ce : entry.emissions) {
-      emission_scratch_.rail = ce.rail;
-      if (ce.offloaded) {
-        emission_scratch_.offload_core = ce.offload_core;
-      } else {
-        emission_scratch_.offload_core.reset();
-      }
-      emission_scratch_.pieces.clear();
-      for (const CachedPiece& p : ce.pieces) {
-        emission_scratch_.pieces.push_back(
-            {group[p.send_idx], static_cast<std::size_t>(p.offset),
-             static_cast<std::size_t>(p.len)});
-      }
-      post_emission(emission_scratch_);
-    }
-    return;
-  }
-
-  emit(EventKind::kPlanCacheMiss);
-  EagerSchedule schedule = strategy_->plan_eager(ctx, group);
-
-  // Store the plan as group-relative indices before posting (posting
-  // mutates bytes_posted, not the keyed fields; request pointers recycle,
-  // so indices are the only stable reference).
-  entry.epoch = decision_epoch_;
-  entry.usable_mask = usable_mask;
-  entry.idle_rail_mask = idle_rail_mask;
-  entry.idle_core_mask = idle_core_mask;
-  entry.key.clear();
-  for (const SendRequest* s : group) entry.key.emplace_back(s->len, s->qos_class);
-  entry.emissions.clear();
-  bool storable = true;
-  for (const EagerEmission& emission : schedule.emissions) {
-    CachedEmission ce;
-    ce.rail = emission.rail;
-    ce.offloaded = emission.offload_core.has_value();
-    ce.offload_core = emission.offload_core.value_or(0);
-    for (const EagerPiece& piece : emission.pieces) {
-      std::size_t idx = group.size();
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        if (group[i] == piece.send) {
-          idx = i;
-          break;
-        }
-      }
-      if (idx == group.size()) {
-        storable = false;
-        break;
-      }
-      ce.pieces.push_back({static_cast<std::uint32_t>(idx), piece.offset, piece.len});
-    }
-    if (!storable) break;
-    entry.emissions.push_back(std::move(ce));
-  }
-  if (!storable) entry.epoch = 0;  // plan referenced a request outside the group
-
-  for (const EagerEmission& emission : schedule.emissions) post_emission(emission);
 }
 
 void Engine::drain_qos() {
@@ -1493,7 +1368,7 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
 
   emit(EventKind::kFailover, {.msg_id = send.id, .tag = send.tag, .rail = failed_rail,
                               .core = config_.scheduler_core, .bytes = bytes});
-  invalidate_decisions();  // failover re-splits perturb the steady state
+  note_planner_input();  // failover re-splits perturb the steady state
   {
     char detail[160];
     std::snprintf(detail, sizeof(detail),
@@ -1601,7 +1476,7 @@ void Engine::quarantine_rail(RailId rail) {
   }
   h.quarantined = true;
   h.until = now + h.window;
-  invalidate_decisions();  // the usable-rail set just shrank
+  note_planner_input();  // the usable-rail set just shrank
   emit(EventKind::kQuarantine,
        {.rail = rail, .a = static_cast<std::int64_t>(to_usec(h.window))});
   {
@@ -1632,7 +1507,7 @@ void Engine::reprobe_rail(RailId rail) {
   if (up) {
     h.quarantined = false;
     h.window = 0;  // healthy again: reset the backoff
-    invalidate_decisions();  // the usable-rail set just grew; re-arms wakes
+    note_planner_input();  // the usable-rail set just grew; re-arms wakes
     return;
   }
   if (h.window >= config_.failover.max_quarantine) {

@@ -207,9 +207,6 @@ class Engine {
   /// returned emissions. When the strategy defers, schedule_retry re-arms
   /// it for the next instant a planner input can change.
   void progress();
-  /// Interrogates the strategy for one destination group, consulting the
-  /// decision cache first (docs/PERF.md). Posts the resulting emissions.
-  void plan_group(std::span<const SendRequest* const> group);
   void schedule_retry();
 
   // -- scheduler wakeups (docs/PERF.md, "Scheduler wakeups") ---------------
@@ -241,8 +238,8 @@ class Engine {
   /// deferred and `when` is earlier; a plain one stays at its NIC-free
   /// instant.
   void arm_wake(Wake& wake, SimTime when, bool deferred, void (Engine::*run)());
-  /// Called on every planner-input change (decision-epoch bump): pulls the
-  /// deferred wakes to the present.
+  /// Called on every planner-input change (quarantine, lift, failover,
+  /// recalibration, strategy swap): pulls the deferred wakes to the present.
   void note_planner_input();
   void post_emission(const EagerEmission& emission);
   void start_rendezvous(const SendHandle& send);
@@ -458,7 +455,7 @@ class Engine {
   std::vector<double> trust_penalty_;      ///< per-rail penalties for contexts
   std::vector<std::uint8_t> resample_armed_;  ///< dedups sweep events per rail
 
-  // -- hot-path scratch & memoization (docs/PERF.md) ---------------------
+  // -- hot-path scratch (docs/PERF.md) ------------------------------------
   // Persistent buffers recycled across activations so the steady-state
   // submit -> schedule -> emit path touches no allocator.
 
@@ -477,44 +474,6 @@ class Engine {
   mutable std::vector<strategy::SolverRail> solver_scratch_;
 
   std::vector<SubPacket> subpacket_scratch_;  ///< eager unpack scratch
-  EagerEmission emission_scratch_;            ///< cached-plan materialization
-
-  /// Memoized eager strategy decisions. An entry replays its emission plan
-  /// (as group-relative indices) when the exact (sizes, qos classes) run
-  /// recurs under the same usable/idle rail and idle core sets within the
-  /// same decision epoch. The epoch advances on every event that could
-  /// change what a strategy would decide — quarantine, re-probe, failover,
-  /// trust transition, profile correction/resample, strategy swap — so a
-  /// stale plan can never be replayed. Keys store the exact size run (no
-  /// bucketing), so a hit reproduces the uncached decision bit-for-bit.
-  struct CachedPiece {
-    std::uint32_t send_idx = 0;  ///< index into the destination group
-    std::uint64_t offset = 0;
-    std::uint64_t len = 0;
-  };
-  struct CachedEmission {
-    RailId rail = 0;
-    bool offloaded = false;
-    CoreId offload_core = 0;
-    std::vector<CachedPiece> pieces;
-  };
-  struct DecisionEntry {
-    std::uint64_t epoch = 0;  ///< 0 = empty slot
-    std::uint64_t usable_mask = 0;
-    std::uint64_t idle_rail_mask = 0;
-    std::uint64_t idle_core_mask = 0;
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> key;  ///< (len, class)
-    std::vector<CachedEmission> emissions;
-  };
-  static constexpr std::size_t kDecisionSlots = 64;
-  std::vector<DecisionEntry> decision_cache_;
-  std::uint64_t decision_epoch_ = 1;
-  /// Drops every cached decision (O(1): entries with a stale epoch are dead)
-  /// and wakes a planner that sleeps past an idle NIC.
-  void invalidate_decisions() {
-    ++decision_epoch_;
-    note_planner_input();
-  }
 };
 
 }  // namespace rails::core

@@ -76,9 +76,10 @@ struct EngineStats {
   std::uint64_t qos_deadline_hits = 0;        ///< deadline-tagged sends in time
   std::uint64_t qos_deadline_misses = 0;      ///< ... that completed late
 
-  // -- hot-path memoization (docs/PERF.md) -----------------------------
-  std::uint64_t strategy_cache_hits = 0;    ///< eager plans replayed from cache
-  std::uint64_t strategy_cache_misses = 0;  ///< cacheable plans computed fresh
+  // -- removed eager-plan memo -------------------------------------------
+  /// Not counted, always 0; kept until railbench stops reading them.
+  std::uint64_t strategy_cache_hits = 0;
+  std::uint64_t strategy_cache_misses = 0;
 };
 
 /// The fields of one fact. Unused fields stay at their defaults; `a` and

@@ -51,18 +51,18 @@ const sampling::PerfProfile& eager_table(const sampling::RailProfile& rp) {
 }
 
 /// Packs `pending` (in order) into as few segments as fit on `rail`,
-/// splitting an oversized send across several segments if needed.
-std::vector<EagerEmission> pack_onto_rail(const StrategyContext& ctx, RailId rail,
-                                          std::span<const SendRequest* const> pending) {
+/// splitting an oversized send across several segments if needed, and
+/// appends them to `out`.
+void pack_onto_rail(const StrategyContext& ctx, RailId rail,
+                    std::span<const SendRequest* const> pending, EagerSchedule& out) {
   const std::size_t cap = ctx.nics[rail]->model().params().max_eager;
-  std::vector<EagerEmission> emissions;
   EagerEmission current;
   current.rail = rail;
   std::size_t used = 0;
 
   auto flush = [&] {
     if (!current.pieces.empty()) {
-      emissions.push_back(std::move(current));
+      out.emissions.push_back(std::move(current));
       current = EagerEmission{};
       current.rail = rail;
       used = 0;
@@ -89,7 +89,15 @@ std::vector<EagerEmission> pack_onto_rail(const StrategyContext& ctx, RailId rai
     } while (offset < send->len);
   }
   flush();
-  return emissions;
+}
+
+/// The idle cores other than the scheduler core, nearest first: the remote
+/// submitters of Fig. 7.
+void idle_remote_cores(const StrategyContext& ctx, std::vector<CoreId>& out) {
+  out.clear();
+  ctx.cores->topology().for_each_neighbour(ctx.config->scheduler_core, [&](CoreId c) {
+    if (ctx.cores->idle(c, ctx.now)) out.push_back(c);
+  });
 }
 
 /// Completion-time estimate for aggregating `bytes` on `rail` right now.
@@ -114,7 +122,7 @@ EagerSchedule SingleRail::plan_eager(const StrategyContext& ctx,
   // Defer while the rail is busy: queued packets keep aggregating, exactly
   // like NewMadeleine's pack list.
   if (!ctx.nics[rail_]->idle(ctx.now)) return schedule;
-  schedule.emissions = pack_onto_rail(ctx, rail_, pending);
+  pack_onto_rail(ctx, rail_, pending, schedule);
   return schedule;
 }
 
@@ -133,15 +141,15 @@ EagerSchedule GreedyBalance::plan_eager(const StrategyContext& ctx,
   EagerSchedule schedule;
   // Collect the rails currently idle; hand the queued messages to them
   // round-robin, one message per emission (no aggregation, no split).
-  std::vector<RailId> idle;
+  idle_.clear();
   for (RailId r = 0; r < ctx.rail_count(); ++r) {
-    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) idle.push_back(r);
+    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) idle_.push_back(r);
   }
-  if (idle.empty()) return schedule;
+  if (idle_.empty()) return schedule;
 
   std::size_t next = 0;
   for (const SendRequest* send : pending) {
-    const RailId rail = idle[next % idle.size()];
+    const RailId rail = idle_[next % idle_.size()];
     ++next;
     if (send->len + SubPacket::kHeaderBytes >
         ctx.nics[rail]->model().params().max_eager) {
@@ -197,7 +205,7 @@ EagerSchedule AggregateFastest::plan_eager(const StrategyContext& ctx,
     }
   }
   if (!any_idle) return schedule;  // keep aggregating until a NIC frees up
-  schedule.emissions = pack_onto_rail(ctx, best, pending);
+  pack_onto_rail(ctx, best, pending, schedule);
   return schedule;
 }
 
@@ -236,7 +244,7 @@ EagerSchedule PatientAggregate::plan_eager(const StrategyContext& ctx,
   // "delaying a transfer while some NICs that especially fit the considered
   // transfer are busy": if the winner is busy, wait for it.
   if (!ctx.nics[best]->idle(ctx.now)) return schedule;
-  schedule.emissions = pack_onto_rail(ctx, best, pending);
+  pack_onto_rail(ctx, best, pending, schedule);
   return schedule;
 }
 
@@ -326,54 +334,26 @@ EagerSchedule MulticoreHeteroSplit::plan_eager(const StrategyContext& ctx,
     return AggregateFastest::plan_eager(ctx, pending);
   }
 
-  // Cores available for remote submission (the scheduler core is excluded:
-  // every chunk is handed to a remote core, Fig. 7).
-  const unsigned idle_cores =
-      ctx.cores->idle_count(ctx.now, ctx.config->scheduler_core);
+  // Cores available for remote submission, nearest first (the scheduler
+  // core is excluded: every chunk is handed to a remote core, Fig. 7).
+  idle_remote_cores(ctx, idle_cores_);
   std::vector<strategy::ProfileCost> costs;
   const auto rails = solver_rails(ctx, costs, eager_table);
-  const strategy::EagerPlan plan =
-      strategy::plan_eager(rails, send->len, idle_cores, ctx.config->offload);
-
+  const strategy::EagerPlan plan = strategy::plan_eager(
+      rails, send->len, static_cast<unsigned>(idle_cores_.size()), ctx.config->offload);
   if (!plan.split) return AggregateFastest::plan_eager(ctx, pending);
 
-  // Assign one distinct idle core per chunk, nearest-first.
-  std::vector<CoreId> assigned;
+  // One distinct idle core per chunk.
+  RAILS_CHECK_MSG(idle_cores_.size() >= plan.chunks.size(),
+                  "offload planned without an idle remote core");
   EagerSchedule schedule;
-  for (const strategy::Chunk& chunk : plan.chunks) {
-    EagerEmission e;
-    e.rail = chunk.rail;
-    std::optional<CoreId> exclude;  // pick_offload_core skips `near` itself
-    CoreId core = ctx.config->scheduler_core;
-    for (CoreId candidate :
-         ctx.cores->topology().neighbours_by_distance(ctx.config->scheduler_core)) {
-      if (!ctx.cores->idle(candidate, ctx.now)) continue;
-      if (std::find(assigned.begin(), assigned.end(), candidate) != assigned.end()) {
-        continue;
-      }
-      core = candidate;
-      break;
-    }
-    (void)exclude;
-    RAILS_CHECK_MSG(core != ctx.config->scheduler_core,
-                    "offload planned without an idle remote core");
-    assigned.push_back(core);
-    e.offload_core = core;
-    e.pieces.push_back({send, chunk.offset, chunk.bytes});
-    schedule.emissions.push_back(std::move(e));
+  for (std::size_t i = 0; i < plan.chunks.size(); ++i) {
+    EagerEmission& e = schedule.emissions.emplace_back();
+    e.rail = plan.chunks[i].rail;
+    e.offload_core = idle_cores_[i];
+    e.pieces.push_back({send, plan.chunks[i].offset, plan.chunks[i].bytes});
   }
   return schedule;
-}
-
-bool MulticoreHeteroSplit::eager_plan_cacheable(
-    const StrategyContext& ctx, std::span<const SendRequest* const> pending) const {
-  // The delegation cases reduce to AggregateFastest (cacheable); the split
-  // case feeds busy offsets into the solver, so it is pure only when every
-  // usable rail is idle (offsets all zero). Core choice depends only on the
-  // idle-core set, which is part of the engine's cache key.
-  if (pending.size() != 1 || ctx.rail_count() < 2) return true;
-  if (pending.front()->len < ctx.config->offload.min_split_size) return true;
-  return ctx.all_usable_idle();
 }
 
 // ---------------------------------------------------------------------------
@@ -386,63 +366,60 @@ EagerSchedule BatchSpread::plan_eager(const StrategyContext& ctx,
   if (pending.size() < 2) return MulticoreHeteroSplit::plan_eager(ctx, pending);
 
   // Candidate rails: idle ones. Candidate cores: idle remote cores.
-  std::vector<RailId> idle_rails;
+  idle_rails_.clear();
   for (RailId r = 0; r < ctx.rail_count(); ++r) {
-    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) idle_rails.push_back(r);
+    if (ctx.rail_usable(r) && ctx.nics[r]->idle(ctx.now)) idle_rails_.push_back(r);
   }
-  std::vector<CoreId> idle_cores;
-  for (CoreId c :
-       ctx.cores->topology().neighbours_by_distance(ctx.config->scheduler_core)) {
-    if (ctx.cores->idle(c, ctx.now)) idle_cores.push_back(c);
-  }
+  idle_remote_cores(ctx, idle_cores_);
   const std::size_t bins =
-      std::min({idle_rails.size(), idle_cores.size(), pending.size()});
+      std::min({idle_rails_.size(), idle_cores_.size(), pending.size()});
   if (bins < 2) return AggregateFastest::plan_eager(ctx, pending);
 
   // Rank the idle rails by eager speed for an average-sized aggregate and
   // keep the `bins` fastest.
   std::size_t total = 0;
   for (const SendRequest* send : pending) total += send->len;
-  std::sort(idle_rails.begin(), idle_rails.end(), [&](RailId a, RailId b) {
+  std::sort(idle_rails_.begin(), idle_rails_.end(), [&](RailId a, RailId b) {
     return ctx.estimator->duration(a, total / bins, fabric::Protocol::kEager) <
            ctx.estimator->duration(b, total / bins, fabric::Protocol::kEager);
   });
-  idle_rails.resize(bins);
+  idle_rails_.resize(bins);
 
   // LPT partition: longest message first onto the bin with the earliest
   // predicted finish (per-rail curves make the bins speed-aware).
-  std::vector<const SendRequest*> order(pending.begin(), pending.end());
-  std::sort(order.begin(), order.end(),
+  order_.assign(pending.begin(), pending.end());
+  std::sort(order_.begin(), order_.end(),
             [](const SendRequest* a, const SendRequest* b) { return a->len > b->len; });
-  std::vector<std::size_t> bin_bytes(bins, 0);
-  std::vector<std::vector<const SendRequest*>> bin_sends(bins);
-  for (const SendRequest* send : order) {
+  bin_bytes_.assign(bins, 0);
+  if (bin_sends_.size() < bins) bin_sends_.resize(bins);
+  for (std::size_t b = 0; b < bins; ++b) bin_sends_[b].clear();
+  for (const SendRequest* send : order_) {
     std::size_t best = 0;
     SimDuration best_time = kSimTimeNever;
     for (std::size_t b = 0; b < bins; ++b) {
       const SimDuration t = ctx.estimator->duration(
-          idle_rails[b], bin_bytes[b] + send->len, fabric::Protocol::kEager);
+          idle_rails_[b], bin_bytes_[b] + send->len, fabric::Protocol::kEager);
       if (t < best_time) {
         best_time = t;
         best = b;
       }
     }
-    bin_bytes[best] += send->len;
-    bin_sends[best].push_back(send);
+    bin_bytes_[best] += send->len;
+    bin_sends_[best].push_back(send);
   }
 
   // Predict: parallel spread (TO + slowest bin) vs one aggregated segment on
   // the fastest rail from the scheduler core.
   SimDuration spread_time = 0;
   for (std::size_t b = 0; b < bins; ++b) {
-    if (bin_sends[b].empty()) continue;
+    if (bin_sends_[b].empty()) continue;
     spread_time = std::max(spread_time, ctx.estimator->duration(
-                                            idle_rails[b], bin_bytes[b],
+                                            idle_rails_[b], bin_bytes_[b],
                                             fabric::Protocol::kEager));
   }
   spread_time += ctx.config->offload.signal_cost;
   SimDuration aggregate_time = kSimTimeNever;
-  for (RailId r : idle_rails) {
+  for (RailId r : idle_rails_) {
     aggregate_time = std::min(
         aggregate_time, ctx.estimator->duration(r, total, fabric::Protocol::kEager));
   }
@@ -455,30 +432,19 @@ EagerSchedule BatchSpread::plan_eager(const StrategyContext& ctx,
   // decides placement; ordering within a rail follows the pack list).
   EagerSchedule schedule;
   for (std::size_t b = 0; b < bins; ++b) {
-    if (bin_sends[b].empty()) continue;
-    std::vector<const SendRequest*> in_order;
+    const std::vector<const SendRequest*>& bin = bin_sends_[b];
+    if (bin.empty()) continue;
+    in_order_.clear();
     for (const SendRequest* send : pending) {
-      if (std::find(bin_sends[b].begin(), bin_sends[b].end(), send) !=
-          bin_sends[b].end()) {
-        in_order.push_back(send);
-      }
+      if (std::find(bin.begin(), bin.end(), send) != bin.end()) in_order_.push_back(send);
     }
-    auto emissions = pack_onto_rail(ctx, idle_rails[b],
-                                    std::span<const SendRequest* const>(in_order));
-    for (auto& e : emissions) {
-      e.offload_core = idle_cores[b];
-      schedule.emissions.push_back(std::move(e));
+    const std::size_t first = schedule.emissions.size();
+    pack_onto_rail(ctx, idle_rails_[b], in_order_, schedule);
+    for (std::size_t e = first; e < schedule.emissions.size(); ++e) {
+      schedule.emissions[e].offload_core = idle_cores_[b];
     }
   }
   return schedule;
-}
-
-bool BatchSpread::eager_plan_cacheable(
-    const StrategyContext& ctx, std::span<const SendRequest* const> pending) const {
-  // A batch decides via idle rails, idle cores, and estimator durations —
-  // all in the cache key. A single message takes the multicore-split path.
-  if (pending.size() >= 2) return true;
-  return MulticoreHeteroSplit::eager_plan_cacheable(ctx, pending);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/strategy_iface.hpp"
 
@@ -36,11 +37,6 @@ class SingleRail final : public Strategy {
   strategy::SplitResult plan_rendezvous(const StrategyContext& ctx,
                                         std::size_t len) override;
   RailId control_rail(const StrategyContext&) const override { return rail_; }
-  // Emits iff rail_ is idle, then packs by size alone.
-  bool eager_plan_cacheable(const StrategyContext&,
-                            std::span<const SendRequest* const>) const override {
-    return true;
-  }
 
  private:
   RailId rail_;
@@ -53,11 +49,9 @@ class GreedyBalance final : public Strategy {
                            std::span<const SendRequest* const> pending) override;
   strategy::SplitResult plan_rendezvous(const StrategyContext& ctx,
                                         std::size_t len) override;
-  // Round-robin over the idle set; the cursor is local to each call.
-  bool eager_plan_cacheable(const StrategyContext&,
-                            std::span<const SendRequest* const>) const override {
-    return true;
-  }
+
+ private:
+  std::vector<RailId> idle_;  ///< plan_eager scratch, kept across calls
 };
 
 class AggregateFastest : public Strategy {
@@ -67,12 +61,6 @@ class AggregateFastest : public Strategy {
                            std::span<const SendRequest* const> pending) override;
   strategy::SplitResult plan_rendezvous(const StrategyContext& ctx,
                                         std::size_t len) override;
-  // Compares completions across idle rails only: `now` cancels, so the
-  // winner is a function of the idle set, the sizes, and the profiles.
-  bool eager_plan_cacheable(const StrategyContext&,
-                            std::span<const SendRequest* const>) const override {
-    return true;
-  }
 };
 
 class IsoSplit final : public AggregateFastest {
@@ -99,12 +87,6 @@ class PatientAggregate : public AggregateFastest {
   std::string name() const override { return "patient-aggregate"; }
   EagerSchedule plan_eager(const StrategyContext& ctx,
                            std::span<const SendRequest* const> pending) override;
-  // Busy-time magnitudes pick the winner, so only the all-idle case is a
-  // pure function of the masks.
-  bool eager_plan_cacheable(const StrategyContext& ctx,
-                            std::span<const SendRequest* const>) const override {
-    return ctx.all_usable_idle();
-  }
 };
 
 class HeteroSplit : public AggregateFastest {
@@ -119,8 +101,9 @@ class MulticoreHeteroSplit : public HeteroSplit {
   std::string name() const override { return "multicore-hetero-split"; }
   EagerSchedule plan_eager(const StrategyContext& ctx,
                            std::span<const SendRequest* const> pending) override;
-  bool eager_plan_cacheable(const StrategyContext& ctx,
-                            std::span<const SendRequest* const> pending) const override;
+
+ protected:
+  std::vector<CoreId> idle_cores_;  ///< plan_eager scratch, kept across calls
 };
 
 /// Batch spreading (§II: "data packets can be spread across the available
@@ -134,8 +117,14 @@ class BatchSpread final : public MulticoreHeteroSplit {
   std::string name() const override { return "batch-spread"; }
   EagerSchedule plan_eager(const StrategyContext& ctx,
                            std::span<const SendRequest* const> pending) override;
-  bool eager_plan_cacheable(const StrategyContext& ctx,
-                            std::span<const SendRequest* const> pending) const override;
+
+ private:
+  // plan_eager scratch, kept across calls so planning does not allocate.
+  std::vector<RailId> idle_rails_;
+  std::vector<const SendRequest*> order_;
+  std::vector<std::size_t> bin_bytes_;
+  std::vector<std::vector<const SendRequest*>> bin_sends_;
+  std::vector<const SendRequest*> in_order_;
 };
 
 /// Factory by name ("single-rail:0", "greedy-balance", "iso-split", ...).

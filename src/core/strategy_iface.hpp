@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/pooled_allocator.hpp"
 #include "common/types.hpp"
 #include "fabric/nic.hpp"
 #include "fabric/sim_cores.hpp"
@@ -107,11 +108,6 @@ struct EngineConfig {
   /// (docs/QOS.md). Default-off: a disabled engine is byte-for-byte the
   /// pre-QoS engine.
   qos::QosConfig qos;
-  /// Memoize eager strategy decisions keyed on (sizes, qos classes,
-  /// usable/idle rail sets, idle cores, decision epoch); invalidated on
-  /// failover/quarantine/trust/profile transitions (docs/PERF.md). Only
-  /// consulted when the strategy declares the decision cacheable.
-  bool strategy_cache = true;
   /// Health-plane time-series sampler (docs/OBSERVABILITY.md). Default-off:
   /// a disabled engine arms no health tick and samples nothing.
   telemetry::TimeseriesConfig timeseries;
@@ -156,14 +152,6 @@ struct StrategyContext {
   double rail_trust_penalty(RailId rail) const {
     return trust_penalty.empty() ? 1.0 : trust_penalty[rail];
   }
-  /// True when no usable rail has work in flight — busy offsets are all
-  /// zero, so busy-aware plans collapse to functions of the idle sets.
-  bool all_usable_idle() const {
-    for (RailId r = 0; r < rail_count(); ++r) {
-      if (rail_usable(r) && rail_busy_until(r) > now) return false;
-    }
-    return true;
-  }
 };
 
 /// One piece of one application message inside an eager emission.
@@ -173,12 +161,17 @@ struct EagerPiece {
   std::size_t len = 0;
 };
 
+/// Vectors of a plan live for one activation; their storage is recycled
+/// (common/pooled_allocator.hpp) so planning fresh never allocates.
+template <class T>
+using PlanVector = std::vector<T, PooledAllocator<T>>;
+
 /// One eager segment to post: possibly several aggregated pieces, possibly
 /// submitted from a remote core (offload_core set) at a TO signalling cost.
 struct EagerEmission {
   RailId rail = 0;
   std::optional<CoreId> offload_core;
-  std::vector<EagerPiece> pieces;
+  PlanVector<EagerPiece> pieces;
 
   std::size_t payload_bytes() const {
     std::size_t n = 0;
@@ -190,7 +183,7 @@ struct EagerEmission {
 /// Result of plan_eager: emissions to post now. Sends not referenced by any
 /// emission stay queued; the engine re-interrogates when a NIC frees up.
 struct EagerSchedule {
-  std::vector<EagerEmission> emissions;
+  PlanVector<EagerEmission> emissions;
   bool empty() const { return emissions.empty(); }
 };
 
@@ -213,11 +206,8 @@ class Strategy {
   /// the lowest predicted completion for a zero-byte eager message.
   virtual RailId control_rail(const StrategyContext& ctx) const;
 
-  /// Declares that plan_eager's decision for this context is a pure
-  /// function of (pending sizes, usable mask, idle-rail mask, idle-core
-  /// mask, sampled profiles) — i.e. it consults no busy-time magnitudes and
-  /// no internal mutable state — so the engine may replay a memoized
-  /// emission plan instead of re-interrogating. Conservative default: no.
+  /// Not consulted: the engine plans every activation fresh. Kept until
+  /// railbench's decorator stops overriding it.
   virtual bool eager_plan_cacheable(const StrategyContext&,
                                     std::span<const SendRequest* const>) const {
     return false;

@@ -7,18 +7,7 @@ namespace rails {
 std::vector<CoreId> MachineTopology::neighbours_by_distance(CoreId from) const {
   std::vector<CoreId> out;
   out.reserve(core_count() - 1);
-  const std::uint32_t home = socket_of(from);
-  // Same-socket cores first.
-  for (CoreId c = 0; c < core_count(); ++c) {
-    if (c != from && socket_of(c) == home) out.push_back(c);
-  }
-  // Then remote sockets in increasing socket distance (ring order).
-  for (std::uint32_t d = 1; d < sockets; ++d) {
-    const std::uint32_t s = (home + d) % sockets;
-    for (CoreId c = s * cores_per_socket; c < (s + 1) * cores_per_socket; ++c) {
-      out.push_back(c);
-    }
-  }
+  for_each_neighbour(from, [&out](CoreId c) { out.push_back(c); });
   return out;
 }
 

@@ -30,8 +30,19 @@ struct MachineTopology {
   bool same_socket(CoreId a, CoreId b) const { return socket_of(a) == socket_of(b); }
 
   /// Cores ordered by signalling cost from `from`: same socket first (skipping
-  /// `from` itself), then remote sockets.
+  /// `from` itself), then remote sockets in ring order.
   std::vector<CoreId> neighbours_by_distance(CoreId from) const;
+  /// Calls `visit(core)` in neighbours_by_distance order, allocating nothing.
+  template <class Visit>
+  void for_each_neighbour(CoreId from, Visit&& visit) const {
+    const std::uint32_t home = socket_of(from);
+    for (std::uint32_t d = 0; d < sockets; ++d) {
+      const std::uint32_t s = (home + d) % sockets;
+      for (CoreId c = s * cores_per_socket; c < (s + 1) * cores_per_socket; ++c) {
+        if (c != from) visit(c);
+      }
+    }
+  }
 
   /// The paper's evaluation machine: dual-socket, dual-core Opteron.
   static MachineTopology opteron_2x2() { return MachineTopology{2, 2}; }

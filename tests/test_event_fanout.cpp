@@ -99,8 +99,6 @@ std::string ledger(const EngineStats& s) {
   field("qos_admission_downgrades", s.qos_admission_downgrades);
   field("qos_deadline_hits", s.qos_deadline_hits);
   field("qos_deadline_misses", s.qos_deadline_misses);
-  field("strategy_cache_hits", s.strategy_cache_hits);
-  field("strategy_cache_misses", s.strategy_cache_misses);
   std::string out = os.str();
   if (!out.empty()) out.pop_back();
   return out;
@@ -306,10 +304,10 @@ TEST(EventFanout, FailoverWorld) {
       "aggregated_packets=37 split_eager_msgs=21 offloaded_chunks=42 "
       "rdv_chunks=250 rail0=22984504 rail1=19732016 tx_errors=2 "
       "chunk_timeouts=5 failovers=7 retries=7 quarantines=7 reprobes=14 "
-      "reprobe_successes=7 strategy_cache_hits=4 strategy_cache_misses=125",
+      "reprobe_successes=7",
       "sends=90 recvs=270 eager_msgs=44 rdv_msgs=46 eager_segments=51 "
       "split_eager_msgs=7 offloaded_chunks=14 rdv_chunks=92 rail0=8574668 "
-      "rail1=6210058 duplicate_chunks=5 strategy_cache_misses=44"};
+      "rail1=6210058 duplicate_chunks=5"};
   golden.registry_hash = 12095741580781841315ull;
   golden.flight_kinds =
       "chunk=342 chunk-timeout=5 eager-emit=215 failover=7 offload-signal=56 "
@@ -394,12 +392,12 @@ TEST(EventFanout, ReliabilityWorld) {
       "rail1=30279468 tx_errors=1 quarantines=475 reprobes=478 "
       "reprobe_successes=475 rel_segments=517 rel_drops_inferred=1078 "
       "rel_retransmits=845 rel_dup_suppressed=13 rel_retry_exhausted=273 "
-      "rel_acks=278 strategy_cache_hits=5 strategy_cache_misses=120",
+      "rel_acks=278",
       "sends=90 recvs=270 eager_msgs=41 rdv_msgs=49 eager_segments=41 "
       "rdv_chunks=98 rail0=5163350 rail1=3681017 quarantines=1 reprobes=1 "
       "reprobe_successes=1 rel_segments=442 rel_corruptions=39 "
       "rel_drops_inferred=13 rel_retransmits=13 rel_dup_suppressed=766 "
-      "rel_acks=654 rel_nacks=39 strategy_cache_misses=45"};
+      "rel_acks=654 rel_nacks=39"};
   golden.registry_hash = 425782552201159982ull;
   golden.flight_kinds =
       "chunk=318 corrupt-detected=39 dup-suppressed=779 eager-emit=186 "

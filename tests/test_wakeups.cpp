@@ -16,6 +16,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,6 +25,7 @@
 #include "fabric/fault.hpp"
 #include "fabric/presets.hpp"
 #include "telemetry/metrics.hpp"
+#include "test_util.hpp"
 
 namespace rails::core {
 namespace {
@@ -171,7 +174,39 @@ TEST(Wakeups, SpuriousQuarantineUnderOpenLoop) {
   golden.rail_bytes = {33191180, 23175176};
   expect_outcome(got, golden, arrivals.size());
   expect_few_wakeups(got, arrivals.size());
+  test::expect_fault_free_quiet(world.engine(0).stats());
+  test::expect_fault_free_quiet(world.engine(1).stats());
 }
+
+// The same open loop under every built-in strategy at three offered loads,
+// default config, no fault injected: nothing may read as loss.
+class FaultFreeOpenLoop
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
+
+TEST_P(FaultFreeOpenLoop, FiresNoFaultMachinery) {
+  const auto [strategy, mbps] = GetParam();
+  World world(paper_testbed(strategy));
+  const auto arrivals = open_loop(11, 450, mbps, 8u << 10, 512u << 10);
+  const Outcome got = run(world, arrivals);
+  EXPECT_EQ(got.completed, arrivals.size());
+  test::expect_fault_free_quiet(world.engine(0).stats());
+  test::expect_fault_free_quiet(world.engine(1).stats());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, FaultFreeOpenLoop,
+    ::testing::Combine(::testing::Values("single-rail:0", "single-rail:1", "greedy-balance",
+                                         "aggregate-fastest", "patient-aggregate",
+                                         "iso-split", "fixed-ratio-split", "hetero-split",
+                                         "multicore-hetero-split", "batch-spread"),
+                       ::testing::Values(400.0, 900.0, 1400.0)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param);
+      for (char& c : name) {
+        if (c == '-' || c == ':') c = '_';
+      }
+      return name + "_" + std::to_string(static_cast<int>(std::get<1>(info.param)));
+    });
 
 // (b) Rail 0 fail-stops under eager traffic: the re-probe backoff
 // saturates and the quarantine becomes permanent, so rail 0 idles while
@@ -306,8 +341,8 @@ TEST(Wakeups, MulticoreSplitAcrossFlap) {
 }
 
 // (h) Recalibration under a flap: rail 1 runs 3x slower than its profile,
-// so its scale corrections bump the decision epoch from inside planner
-// passes, on top of the quarantine, lift and failover bumps.
+// so its scale corrections note planner inputs from inside planner passes,
+// on top of the quarantine, lift and failover notes.
 TEST(Wakeups, RecalibrationDuringQuarantine) {
   WorldConfig cfg = short_windows("hetero-split", usec(300), usec(1200));
   cfg.engine.recalibration.enabled = true;
