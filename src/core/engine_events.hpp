@@ -76,7 +76,7 @@ struct EngineStats {
   std::uint64_t qos_deadline_hits = 0;        ///< deadline-tagged sends in time
   std::uint64_t qos_deadline_misses = 0;      ///< ... that completed late
 
-  // -- removed eager-plan memo -------------------------------------------
+  // -- railbench compatibility -------------------------------------------
   /// Not counted, always 0; kept until railbench stops reading them.
   std::uint64_t strategy_cache_hits = 0;
   std::uint64_t strategy_cache_misses = 0;
