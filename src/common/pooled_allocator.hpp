@@ -1,7 +1,7 @@
 // Recycled storage for the vectors a planning pass returns.
 //
-// Every plan_eager call builds fresh vectors that the engine drops once it
-// has posted them. PooledAllocator files each freed block on a free list
+// Every plan_eager and plan_rendezvous call, and every split solve, builds
+// fresh vectors that the caller drops once it has used them. PooledAllocator files each freed block on a free list
 // per power-of-two size class and hands it out again, so once the classes
 // are warm, planning never reaches operator new. Blocks are kept, never
 // freed: the lists hold at most the peak number of live plan blocks. The
@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <mutex>
 #include <new>
+#include <vector>
 
 namespace rails {
 
@@ -66,5 +67,10 @@ struct PooledAllocator {
   void deallocate(T* p, std::size_t n) noexcept { BlockPool::instance().give(p, n * sizeof(T)); }
   friend bool operator==(const PooledAllocator&, const PooledAllocator&) { return true; }
 };
+
+/// Vectors of a plan live for one activation; their storage is recycled, so
+/// planning fresh never allocates.
+template <class T>
+using PlanVector = std::vector<T, PooledAllocator<T>>;
 
 }  // namespace rails

@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-namespace rails::core {
+namespace rails {
 
 template <typename T>
 class RequestPool;
@@ -67,6 +67,11 @@ class PoolHandle {
   T& operator*() const { return slot_->obj; }
   T* operator->() const { return &slot_->obj; }
   explicit operator bool() const { return slot_ != nullptr; }
+
+  /// Handles sharing the slot right now (0 for an empty handle).
+  std::uint32_t use_count() const {
+    return slot_ != nullptr ? slot_->refs.load(std::memory_order_relaxed) : 0;
+  }
 
   /// Generation of the underlying slot at the time of the call. A recycled
   /// slot reports a larger generation than any handle that owned it before.
@@ -173,4 +178,4 @@ inline void PoolHandle<T>::reset() {
   slot_ = nullptr;
 }
 
-}  // namespace rails::core
+}  // namespace rails

@@ -41,8 +41,9 @@ std::uint32_t reliable_crc(const fabric::Segment& seg) {
   put64(seg.total_len);
   put64(seg.seq);
   const std::uint32_t head = crc32c(hdr, n);
-  if (seg.payload.empty()) return head;
-  return crc32c_extend(head, seg.payload.data(), seg.payload.size());
+  const std::span<const std::uint8_t> payload = seg.payload_bytes();
+  if (payload.empty()) return head;
+  return crc32c_extend(head, payload.data(), payload.size());
 }
 
 /// Operand of a scaled gauge or flight record: `v` x1000, truncated.
@@ -442,6 +443,7 @@ SendHandle Engine::isendv(NodeId dst, Tag tag, std::span<const IoSlice> slices) 
                  wire_time(total, config_.host_copy_mbps));
   }
 
+  emit(EventKind::kPayloadCopy, {.bytes = total});
   SendHandle send = isend(dst, tag, staging.data(), total);
   send->staging = std::move(staging);
   send->data = send->staging.data();
@@ -470,7 +472,10 @@ RecvHandle Engine::irecv(NodeId src, Tag tag, void* data, std::size_t capacity) 
     recv->matched_msg = it->first.second;
     recv->expected = u.total;
     recv->bytes_received = u.received;
-    if (u.received > 0) std::memcpy(recv->data, u.buffer.data(), u.buffer.size());
+    if (u.received > 0) {
+      std::memcpy(recv->data, u.buffer.data(), u.buffer.size());
+      emit(EventKind::kPayloadCopy, {.bytes = u.buffer.size()});
+    }
     const bool complete = u.received == u.total;
     if (complete) {
       unexpected_.erase(it);
@@ -647,6 +652,7 @@ SimTime Engine::earliest_feasible_completion(std::size_t len) const {
 void Engine::finish_send(SendRequest& send, SimTime when, RailId rail, bool rendezvous) {
   send.state = SendState::kDone;
   send.complete_time = when;
+  end_loan(send);
   emit(EventKind::kSendComplete,
        {.msg_id = send.id, .tag = send.tag, .rail = rail, .bytes = send.len, .time = when,
         .since = send.submit_time, .cls = send.qos_class,
@@ -656,6 +662,16 @@ void Engine::finish_send(SendRequest& send, SimTime when, RailId rail, bool rend
   const bool hit = had_deadline && when <= send.deadline;
   if (had_deadline) emit(hit ? EventKind::kDeadlineHit : EventKind::kDeadlineMiss);
   qos_->note_completion(send.qos_class, had_deadline, hit, when - send.submit_time);
+}
+
+void Engine::fail_send(SendRequest& send) {
+  send.state = SendState::kFailed;
+  end_loan(send);
+}
+
+void Engine::end_loan(SendRequest& send) {
+  const std::size_t copied = fabric::end_loan(send.lent);
+  if (copied > 0) emit(EventKind::kPayloadCopy, {.bytes = copied});
 }
 
 void Engine::schedule_retry() {
@@ -737,7 +753,7 @@ fabric::SimNic::PostTimes Engine::post_segment(RailId rail, fabric::Segment seg,
                    : std::max(fabric_->now() + extra_delay, cores.busy_until(core));
   seg.src = self_;
   seg.rail = rail;
-  const std::size_t payload = seg.payload.size();
+  const std::size_t payload = seg.payload_size();
   // Reliability choke point: every first-transmission segment (seq still 0)
   // except the ACK/NACK control plane gets sequenced, checksummed, and a
   // retransmit copy parked before it touches the NIC. Retransmissions carry
@@ -796,6 +812,7 @@ void Engine::post_emission(const EagerEmission& emission) {
   }
   RAILS_CHECK_MSG(seg.payload.size() <= nics_[emission.rail]->model().params().max_eager,
                   "eager emission exceeds the rail's segment cap");
+  emit(EventKind::kPayloadCopy, {.bytes = emission.payload_bytes()});
 
   // Offloaded emissions start after the TO signalling delay on the remote
   // core; local emissions submit from the scheduler core immediately.
@@ -1069,10 +1086,12 @@ void Engine::handle_eager(const fabric::Segment& seg) {
     emit(EventKind::kCorruptDetected, {.msg_id = seg.msg_id, .rail = seg.rail, .a = -1});
     return;
   }
-  for (const SubPacket& sp : subpacket_scratch_) deliver_fragment(sp, seg.src);
+  std::size_t copied = 0;
+  for (const SubPacket& sp : subpacket_scratch_) copied += deliver_fragment(sp, seg.src);
+  emit(EventKind::kPayloadCopy, {.bytes = copied});
 }
 
-void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
+std::size_t Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
   const MsgKey key{src, sp.msg_id};
 
   // Fragment of an already-bound receive?
@@ -1085,7 +1104,7 @@ void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
       // flipped bit inside the sub-packet header moved the fragment out of
       // bounds. Dropping beats scribbling past the receive buffer.
       emit(EventKind::kParseReject);
-      return;
+      return 0;
     }
     if (sp.len > 0) std::memcpy(recv->data + sp.offset, sp.bytes, sp.len);
     recv->bytes_received += sp.len;
@@ -1094,7 +1113,7 @@ void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
       bound_recvs_.pop_back();
       complete_recv(recv);
     }
-    return;
+    return sp.len;
   }
 
   // First fragment of a new message: try to bind a posted receive.
@@ -1110,7 +1129,7 @@ void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
     } else {
       bound_recvs_.emplace_back(key, recv);
     }
-    return;
+    return sp.len;
   }
 
   // Unexpected: buffer until a matching receive is posted.
@@ -1122,10 +1141,11 @@ void Engine::deliver_fragment(const SubPacket& sp, NodeId src) {
   }
   if (sp.offset + sp.len > u.total) {
     emit(EventKind::kParseReject);  // corrupted header, checksum off (see above)
-    return;
+    return 0;
   }
   if (sp.len > 0) std::memcpy(u.buffer.data() + sp.offset, sp.bytes, sp.len);
   u.received += sp.len;
+  return sp.len;
 }
 
 void Engine::handle_rts(const fabric::Segment& seg) {
@@ -1201,13 +1221,17 @@ void Engine::handle_data(const fabric::Segment& seg) {
     return;
   }
   RecvHandle recv = it->second.recv;
-  RAILS_CHECK(seg.offset + seg.payload.size() <= recv->expected);
-  if (!seg.payload.empty()) {
-    std::memcpy(recv->data + seg.offset, seg.payload.data(), seg.payload.size());
+  // The one host copy a chunk costs: its bytes still sit in the sender's
+  // buffer, or in the copy its ended loan left behind.
+  const std::span<const std::uint8_t> bytes = seg.payload_bytes();
+  RAILS_CHECK(seg.offset + bytes.size() <= recv->expected);
+  if (!bytes.empty()) {
+    std::memcpy(recv->data + seg.offset, bytes.data(), bytes.size());
+    emit(EventKind::kPayloadCopy, {.bytes = bytes.size()});
   }
   const std::size_t fresh =
-      add_interval(it->second.covered, seg.offset, seg.offset + seg.payload.size());
-  if (fresh < seg.payload.size()) emit(EventKind::kDuplicateChunk);
+      add_interval(it->second.covered, seg.offset, seg.offset + bytes.size());
+  if (fresh < bytes.size()) emit(EventKind::kDuplicateChunk);
   recv->bytes_received += fresh;
   if (recv->bytes_received == recv->expected) {
     const NodeId src = it->second.src;
@@ -1248,7 +1272,7 @@ void Engine::on_tx_complete(const fabric::Segment& seg) {
 
 void Engine::on_tx_error(fabric::Segment&& seg) {
   emit(EventKind::kTxError, {.msg_id = seg.msg_id, .rail = seg.rail,
-                             .a = static_cast<std::int64_t>(seg.payload.size()),
+                             .a = static_cast<std::int64_t>(seg.payload_size()),
                              .b = seg.attempt});
   if (config_.reliability.enabled && seg.seq != 0) {
     // The reliability layer owns recovery for sequenced segments: the parked
@@ -1267,7 +1291,7 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
   if (seg.kind == fabric::SegKind::kData) {
     auto it = rdv_sends_.find(seg.msg_id);
     if (it == rdv_sends_.end()) return;  // send already completed; stale error
-    failover_chunk(*it->second, seg.offset, seg.payload.size(), seg.rail, seg.attempt);
+    failover_chunk(*it->second, seg.offset, seg.payload_size(), seg.rail, seg.attempt);
     return;
   }
 
@@ -1278,7 +1302,7 @@ void Engine::on_tx_error(fabric::Segment&& seg) {
     if (seg.kind == fabric::SegKind::kRts) {
       // The handshake can never finish; fail the send instead of hanging.
       if (auto it = rdv_sends_.find(seg.msg_id); it != rdv_sends_.end()) {
-        it->second->state = SendState::kFailed;
+        fail_send(*it->second);
         rdv_sends_.erase(it);
       }
     }
@@ -1299,11 +1323,11 @@ RailId Engine::repost_rail(const fabric::Segment& seg) const {
   for (RailId r = 0; r < nics_.size(); ++r) {
     if (!rail_usable(r)) continue;
     if (seg.kind == fabric::SegKind::kEager &&
-        seg.payload.size() > nics_[r]->model().params().max_eager) {
+        seg.payload_size() > nics_[r]->model().params().max_eager) {
       continue;
     }
     const sampling::RailState state{r, nics_[r]->busy_until()};
-    const SimTime done = estimator_->completion(state, fabric_->now(), seg.payload.size(),
+    const SimTime done = estimator_->completion(state, fabric_->now(), seg.payload_size(),
                                                 fabric::Protocol::kEager);
     if (!found || done < best_done) {
       best_done = done;
@@ -1381,7 +1405,7 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
 
   if (attempt + 1u >= config_.failover.max_attempts) {
     emit(EventKind::kFailoverExhausted);
-    send.state = SendState::kFailed;
+    fail_send(send);
     live_chunks_.erase(send.id);
     rdv_sends_.erase(send.id);
     return;
@@ -1427,7 +1451,7 @@ void Engine::failover_chunk(SendRequest& send, std::uint64_t offset, std::size_t
   }
 }
 
-void Engine::post_chunk(const SendRequest& send, RailId rail, std::uint64_t offset,
+void Engine::post_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
                         std::size_t bytes, unsigned attempt, bool stream,
                         std::optional<SimDuration> plan) {
   // Predict before posting: the post itself advances the NIC's busy-until.
@@ -1445,8 +1469,11 @@ void Engine::post_chunk(const SendRequest& send, RailId rail, std::uint64_t offs
   data.offset = offset;
   data.total_len = send.len;
   data.attempt = static_cast<std::uint8_t>(attempt);
-  data.payload = fabric::acquire_payload(bytes);
-  data.payload.assign(send.data + offset, send.data + offset + bytes);
+  // Zero-copy DMA: the chunk borrows its bytes from the send's buffer. An
+  // ended send has stopped lending (end_loan) and must post nothing more.
+  RAILS_CHECK(send.state == SendState::kStreaming);
+  if (!send.lent) send.lent = fabric::lend_payload(send.data, send.len);
+  data.lend(send.lent, bytes);
   const auto times = post_segment(rail, std::move(data), config_.scheduler_core);
   // A first transmission with nothing posted before it ends the message's
   // queueing; a failover re-post is traced without a traffic class.
@@ -1580,7 +1607,9 @@ void Engine::rel_stash(fabric::Segment& seg, RailId rail) {
   e.total_len = seg.total_len;
   e.crc = seg.crc;
   e.base_timeout = 0;
-  e.payload.assign(seg.payload.begin(), seg.payload.end());
+  const std::span<const std::uint8_t> payload = seg.payload_bytes();
+  e.payload.assign(payload.begin(), payload.end());
+  if (!payload.empty()) emit(EventKind::kPayloadCopy, {.bytes = payload.size()});
   ++rel_live_entries_;
   emit(EventKind::kSequenced);
 }
@@ -1656,6 +1685,7 @@ void Engine::rel_retransmit(RelTxEntry& entry) {
   if (!entry.payload.empty()) {
     seg.payload = fabric::acquire_payload(entry.payload.size());
     seg.payload.assign(entry.payload.begin(), entry.payload.end());
+    emit(EventKind::kPayloadCopy, {.bytes = entry.payload.size()});
   }
   const RailId rail = repost_rail(seg);
   entry.rail = rail;
@@ -1684,7 +1714,7 @@ void Engine::rel_exhaust(RelTxEntry& entry) {
   // outright rather than hanging its waiter forever.
   if (entry.kind == fabric::SegKind::kData || entry.kind == fabric::SegKind::kRts) {
     if (auto it = rdv_sends_.find(entry.msg_id); it != rdv_sends_.end()) {
-      it->second->state = SendState::kFailed;
+      fail_send(*it->second);
       live_chunks_.erase(entry.msg_id);
       qos_streams_.erase(entry.msg_id);
       rdv_sends_.erase(it);

@@ -258,6 +258,11 @@ class Engine {
   /// Marks `send` done at `when` and records its completion; QoS sends also
   /// settle their deadline. `rail` is the emitting rail of an eager send.
   void finish_send(SendRequest& send, SimTime when, RailId rail, bool rendezvous);
+  /// Marks `send` failed: it will never complete.
+  void fail_send(SendRequest& send);
+  /// Ends `send`'s loan of its buffer to DATA views (fabric::end_loan):
+  /// views still in flight read a copy from now on, never the user's memory.
+  void end_loan(SendRequest& send);
   /// Windowed rendezvous streaming: posts at most one bulk_chunk-sized
   /// chunk per idle usable rail per sweep, so strict classes grab rail
   /// slots between chunks, then re-arms at the next NIC-idle time.
@@ -269,7 +274,8 @@ class Engine {
   fabric::SimNic::PostTimes post_segment(RailId rail, fabric::Segment seg,
                                          CoreId core, SimDuration extra_delay = 0);
 
-  void deliver_fragment(const SubPacket& sp, NodeId src);
+  /// Lands one eager fragment; returns the payload bytes it copied.
+  std::size_t deliver_fragment(const SubPacket& sp, NodeId src);
   void complete_recv(const RecvHandle& recv);
   RecvHandle match_posted(NodeId src, Tag tag);
 
@@ -286,7 +292,7 @@ class Engine {
   /// and arms its timeout. `attempt` > 0 marks a failover re-post, `stream`
   /// a windowed QoS chunk; `plan` (default: the estimator's prediction) is
   /// the predicted duration the timeout derives from.
-  void post_chunk(const SendRequest& send, RailId rail, std::uint64_t offset,
+  void post_chunk(SendRequest& send, RailId rail, std::uint64_t offset,
                   std::size_t bytes, unsigned attempt, bool stream,
                   std::optional<SimDuration> plan = std::nullopt);
   /// Registers a live chunk and arms its timeout event, `armed_from` (the

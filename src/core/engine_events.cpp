@@ -99,6 +99,7 @@ void EventFanout::emit(trace::EventKind kind, const EventFields& f, SimTime now)
       if (f.b != 0) ++stats_.offloaded_chunks;
       break;
     case K::kSegmentPosted: stats_.payload_bytes_per_rail[f.rail] += f.bytes; break;
+    case K::kPayloadCopy: stats_.payload_bytes_copied += f.bytes; break;
     case K::kReprobe: if (f.a != 0) ++stats_.reprobe_successes; break;
     default: break;
   }

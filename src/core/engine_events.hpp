@@ -38,6 +38,11 @@ struct EngineStats {
   std::uint64_t offloaded_chunks = 0;    ///< eager chunks submitted remotely
   std::uint64_t rdv_chunks = 0;          ///< DMA chunks posted
   std::vector<std::uint64_t> payload_bytes_per_rail;
+  /// Payload bytes the host copied: eager pack and unpack, unexpected
+  /// buffering, gather staging, rendezvous delivery, the reliability
+  /// stash, and loans ended with views in flight. DATA chunks themselves
+  /// borrow the sender's buffer.
+  std::uint64_t payload_bytes_copied = 0;
 
   // -- fault tolerance (docs/FAULTS.md) --------------------------------
   std::uint64_t tx_errors = 0;          ///< segments reported dropped by a NIC

@@ -5,8 +5,9 @@
 #include <limits>
 #include <vector>
 
+#include "common/request_pool.hpp"
 #include "common/types.hpp"
-#include "core/request_pool.hpp"
+#include "fabric/payload_view.hpp"
 
 namespace rails::core {
 
@@ -40,6 +41,10 @@ struct SendRequest {
   /// the engine coalesces into this request-owned staging buffer and `data`
   /// points at it.
   std::vector<std::uint8_t> staging;
+
+  /// Lends `data` to the DATA chunks in flight (fabric/payload_view.hpp);
+  /// set at the first chunk, ended when the send is done or fails.
+  fabric::PayloadRef lent;
 
   SendState state = SendState::kQueued;
   bool rendezvous = false;
@@ -89,6 +94,11 @@ struct RecvRequest {
 /// Resets a recycled send request for reuse. `staging` keeps its capacity
 /// so a flow that staged once never re-allocates on later messages.
 inline void pool_recycle(SendRequest& r) {
+  // The engine ends the loan when the send is done or fails. A send still
+  // lending here is being torn down with its engine: its views die with
+  // the fabric's event queue, unread, and its buffer may already be gone,
+  // so the ref is dropped without a copy.
+  r.lent.reset();
   r.id = 0;
   r.dst = 0;
   r.tag = 0;

@@ -16,12 +16,12 @@ namespace {
 /// stays usable (docs/FAULTS.md). A SUSPECT rail's trust penalty inflates
 /// its cost curve so the solver hands it proportionally smaller chunks
 /// (docs/CALIBRATION.md).
-std::vector<strategy::SolverRail> solver_rails(
-    const StrategyContext& ctx, std::vector<strategy::ProfileCost>& costs,
+PlanVector<strategy::SolverRail> solver_rails(
+    const StrategyContext& ctx, PlanVector<strategy::ProfileCost>& costs,
     const sampling::PerfProfile& (*table)(const sampling::RailProfile&)) {
   costs.clear();
   costs.reserve(ctx.rail_count());
-  std::vector<strategy::SolverRail> rails;
+  PlanVector<strategy::SolverRail> rails;
   rails.reserve(ctx.rail_count());
   for (RailId r = 0; r < ctx.rail_count(); ++r) {
     costs.emplace_back(&table(ctx.estimator->profile(r)), ctx.rail_trust_penalty(r));
@@ -34,8 +34,8 @@ std::vector<strategy::SolverRail> solver_rails(
 }
 
 /// Rails the strategy may plan onto (usable mask applied).
-std::vector<RailId> usable_rails(const StrategyContext& ctx) {
-  std::vector<RailId> out;
+PlanVector<RailId> usable_rails(const StrategyContext& ctx) {
+  PlanVector<RailId> out;
   out.reserve(ctx.rail_count());
   for (RailId r = 0; r < ctx.rail_count(); ++r) {
     if (ctx.rail_usable(r)) out.push_back(r);
@@ -211,7 +211,7 @@ EagerSchedule AggregateFastest::plan_eager(const StrategyContext& ctx,
 
 strategy::SplitResult AggregateFastest::plan_rendezvous(const StrategyContext& ctx,
                                                         std::size_t len) {
-  std::vector<strategy::ProfileCost> costs;
+  PlanVector<strategy::ProfileCost> costs;
   const auto rails = solver_rails(ctx, costs, rdv_chunk_table);
   const std::size_t best = strategy::best_single_rail(rails, len);
   strategy::SplitResult result;
@@ -255,7 +255,7 @@ EagerSchedule PatientAggregate::plan_eager(const StrategyContext& ctx,
 strategy::SplitResult IsoSplit::plan_rendezvous(const StrategyContext& ctx,
                                                 std::size_t len) {
   strategy::SplitResult result;
-  const std::vector<RailId> rails = usable_rails(ctx);
+  const PlanVector<RailId> rails = usable_rails(ctx);
   std::size_t offset = 0;
   for (std::size_t i = 0; i < rails.size(); ++i) {
     const std::size_t bytes =
@@ -275,8 +275,8 @@ strategy::SplitResult FixedRatioSplit::plan_rendezvous(const StrategyContext& ct
                                                        std::size_t len) {
   // "OpenMPI computes a ratio by comparing the maximum available bandwidth
   // of each network" — size- and state-independent.
-  const std::vector<RailId> rails = usable_rails(ctx);
-  std::vector<double> bw(rails.size());
+  const PlanVector<RailId> rails = usable_rails(ctx);
+  PlanVector<double> bw(rails.size());
   double sum = 0;
   for (std::size_t i = 0; i < rails.size(); ++i) {
     bw[i] = ctx.estimator->profile(rails[i]).rdv_chunk.asymptotic_bandwidth();
@@ -311,7 +311,7 @@ strategy::SplitResult HeteroSplit::plan_rendezvous(const StrategyContext& ctx,
     IsoSplit iso;
     return iso.plan_rendezvous(ctx, len);
   }
-  std::vector<strategy::ProfileCost> costs;
+  PlanVector<strategy::ProfileCost> costs;
   const auto rails = solver_rails(ctx, costs, rdv_chunk_table);
   return strategy::solve_equal_finish(rails, len);
 }
@@ -337,7 +337,7 @@ EagerSchedule MulticoreHeteroSplit::plan_eager(const StrategyContext& ctx,
   // Cores available for remote submission, nearest first (the scheduler
   // core is excluded: every chunk is handed to a remote core, Fig. 7).
   idle_remote_cores(ctx, idle_cores_);
-  std::vector<strategy::ProfileCost> costs;
+  PlanVector<strategy::ProfileCost> costs;
   const auto rails = solver_rails(ctx, costs, eager_table);
   const strategy::EagerPlan plan = strategy::plan_eager(
       rails, send->len, static_cast<unsigned>(idle_cores_.size()), ctx.config->offload);

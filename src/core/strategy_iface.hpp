@@ -161,11 +161,6 @@ struct EagerPiece {
   std::size_t len = 0;
 };
 
-/// Vectors of a plan live for one activation; their storage is recycled
-/// (common/pooled_allocator.hpp) so planning fresh never allocates.
-template <class T>
-using PlanVector = std::vector<T, PooledAllocator<T>>;
-
 /// One eager segment to post: possibly several aggregated pieces, possibly
 /// submitted from a remote core (offload_core set) at a TO signalling cost.
 struct EagerEmission {

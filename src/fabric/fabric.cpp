@@ -143,7 +143,7 @@ void Fabric::admit(Segment&& seg) {
   // NIC. A segment admitted immediately is handed over inline; a delayed
   // one is re-scheduled for its admission time.
   const SimTime deliver_at = nic(seg.dst, seg.rail).admit_rx(events_.now(),
-                                                             seg.payload.size());
+                                                             seg.payload_size());
   if (deliver_at > events_.now()) {
     events_.at_node(deliver_at, seg.dst,
                     [this, s = std::move(seg)]() mutable { deliver(std::move(s)); });
@@ -153,10 +153,10 @@ void Fabric::admit(Segment&& seg) {
 }
 
 void Fabric::deliver(Segment&& seg) {
-  delivered_payload_[seg.rail] += seg.payload.size();
+  delivered_payload_[seg.rail] += seg.payload_size();
   RAILS_TRACE("fabric", "deliver %s msg=%llu rail=%u %u->%u len=%zu t=%.3fus",
               to_string(seg.kind), static_cast<unsigned long long>(seg.msg_id), seg.rail,
-              seg.src, seg.dst, seg.payload.size(), to_usec(events_.now()));
+              seg.src, seg.dst, seg.payload_size(), to_usec(events_.now()));
   auto& handler = rx_handlers_[seg.dst];
   RAILS_CHECK_MSG(handler != nullptr, "destination node has no rx handler");
   handler(std::move(seg));

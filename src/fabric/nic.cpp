@@ -108,7 +108,7 @@ SimNic::PostTimes SimNic::compute_times(const Segment& seg, SimTime earliest) co
     // Active degrade faults stretch the transfer; latency faults postpone
     // only the delivery (the injection port frees on schedule).
     const TransferTiming timing =
-        scale_timing(model_.rendezvous(seg.payload.size(), /*include_handshake=*/false),
+        scale_timing(model_.rendezvous(seg.payload_size(), /*include_handshake=*/false),
                      perf_scale_ * fault_scale_at(earliest));
     t.host_start = earliest;
     t.host_end = t.host_start + timing.host;
@@ -126,7 +126,7 @@ SimNic::PostTimes SimNic::compute_times(const Segment& seg, SimTime earliest) co
   bool control_lane = false;
   switch (seg.kind) {
     case SegKind::kEager:
-      timing = model_.eager(seg.payload.size());
+      timing = model_.eager(seg.payload_size());
       break;
     case SegKind::kAck:
     case SegKind::kNack:
@@ -193,9 +193,12 @@ SimNic::WireFate SimNic::draw_fate(Segment& seg, SimTime begin, SimTime end) {
         if (fault_rng_.uniform() < f.rate) {
           // Flip one random payload bit; header-only segments have their
           // stored checksum damaged instead (the simulation stand-in for a
-          // header bit flip — struct fields must stay parseable).
-          if (!seg.payload.empty()) {
-            const std::uint64_t bit = fault_rng_.below(seg.payload.size() * 8);
+          // header bit flip — struct fields must stay parseable). A
+          // borrowed payload is copied first: the flip must never reach the
+          // sender's buffer.
+          if (seg.payload_size() != 0) {
+            const std::uint64_t bit = fault_rng_.below(seg.payload_size() * 8);
+            seg.own_payload();
             seg.payload[bit >> 3] ^= static_cast<std::uint8_t>(1u << (bit & 7));
           } else {
             seg.crc ^= 1u << fault_rng_.below(32);
@@ -238,7 +241,7 @@ SimNic::PostTimes SimNic::post(Segment seg, SimTime earliest) {
 
   ++segments_sent_;
   bytes_sent_ += seg.wire_size();
-  payload_bytes_sent_ += seg.payload.size();
+  payload_bytes_sent_ += seg.payload_size();
 
   // Data-plane fate is drawn here, after timing: preview() must stay
   // RNG-pure so strategy predictions never perturb fault outcomes.
@@ -253,6 +256,7 @@ SimNic::PostTimes SimNic::post(Segment seg, SimTime earliest) {
     // link-layer retransmit whose first copy was not actually lost. It is
     // delivery-only: no second completion, no extra port occupancy.
     Segment copy = seg;
+    copy.silent_drop = false;
     events_->at_node(deliver_at + usec(model_.params().wire_latency_us), arrival_node,
                      [this, begin = t.host_start, end = t.deliver_at, s = std::move(copy)]() mutable {
                        if (down_overlaps(begin, end)) return;
@@ -265,16 +269,18 @@ SimNic::PostTimes SimNic::post(Segment seg, SimTime earliest) {
   // the instant delivery would have happened — the same place a reliable
   // transport surfaces a completion-queue error. A silent (data-plane) drop
   // is the opposite: the completion fires and the wire eats the bytes.
+  // The flag rides in the segment, so this closure (three words and a
+  // Segment) fills an event's inline storage exactly.
+  seg.silent_drop = fate.silent_drop;
   events_->at_node(deliver_at, arrival_node,
-                   [this, begin = t.host_start, end = t.deliver_at, drop = fate.silent_drop,
-                    s = std::move(seg)]() mutable {
+                   [this, begin = t.host_start, end = t.deliver_at, s = std::move(seg)]() mutable {
                 if (down_overlaps(begin, end)) {
                   ++segments_dropped_;
                   if (tx_error_ != nullptr) tx_error_(std::move(s));
                   return;
                 }
                 if (tx_complete_ != nullptr) tx_complete_(s);
-                if (drop) return;
+                if (s.silent_drop) return;
                 deliver_(std::move(s));
               });
   return t;

@@ -280,7 +280,7 @@ RailProfile resample_rail_via_preview(const fabric::SimNic& nic, SimTime now,
       fabric::Segment seg;
       seg.kind = fabric::SegKind::kEager;
       seg.rail = nic.rail();
-      seg.payload.assign(size, 0);
+      seg.borrow_zeros(size);
       const auto t = nic.preview(seg, start);
       rp.eager.add(size, t.deliver_at - t.host_start);
       rp.eager_host.add(size, t.host_end - t.host_start);
@@ -288,7 +288,7 @@ RailProfile resample_rail_via_preview(const fabric::SimNic& nic, SimTime now,
     fabric::Segment data;
     data.kind = fabric::SegKind::kData;
     data.rail = nic.rail();
-    data.payload.assign(size, 0);
+    data.borrow_zeros(size);
     const auto t = nic.preview(data, start);
     const SimDuration chunk = t.deliver_at - t.host_start;
     rp.rdv_chunk.add(size, chunk);

@@ -28,7 +28,7 @@ SimDuration measure_eager(fabric::Fabric& fab, std::size_t size) {
   seg.src = 0;
   seg.dst = 1;
   seg.rail = 0;
-  seg.payload.assign(size, 0xAB);
+  seg.borrow_zeros(size);
   fab.nic(0, 0).post(std::move(seg), start);
   fab.events().run_until([&] { return arrived; });
   RAILS_CHECK_MSG(arrived, "sampling segment was never delivered");
@@ -61,7 +61,7 @@ SimDuration measure_rendezvous(fabric::Fabric& fab, std::size_t size) {
       data.src = 0;
       data.dst = 1;
       data.rail = 0;
-      data.payload.assign(size, 0xCD);
+      data.borrow_zeros(size);
       fab.nic(0, 0).post(std::move(data), fab.now());
     }
   });

@@ -44,10 +44,10 @@ EagerPlan plan_eager(std::span<const SolverRail> rails, std::size_t size,
   if (split.chunks.size() < 2) return plan;
   if (split.chunks.size() > max_chunks) {
     // Keep the `max_chunks` fastest rails and re-solve over that subset.
-    std::vector<Chunk> sorted = split.chunks;
+    ChunkVector sorted = split.chunks;
     std::sort(sorted.begin(), sorted.end(),
               [](const Chunk& a, const Chunk& b) { return a.bytes > b.bytes; });
-    std::vector<SolverRail> subset;
+    PlanVector<SolverRail> subset;
     for (unsigned i = 0; i < max_chunks; ++i) {
       for (const auto& r : rails) {
         if (r.rail == sorted[i].rail) subset.push_back(r);

@@ -32,7 +32,7 @@ struct EagerPlan {
   /// True when the message is split across rails with per-core submission;
   /// false when it is sent whole (aggregated) over `chunks[0].rail`.
   bool split = false;
-  std::vector<Chunk> chunks;
+  ChunkVector chunks;
   /// Predicted completion, offsets and TO included.
   SimDuration predicted = 0;
   /// Prediction for the best single-rail alternative (reporting/ablation).

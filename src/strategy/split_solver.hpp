@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "common/pooled_allocator.hpp"
 #include "strategy/rail_cost.hpp"
 
 namespace rails::strategy {
@@ -30,8 +31,17 @@ struct Chunk {
   std::size_t bytes = 0;
 };
 
+/// The chunks of a plan, in recycled plan storage, so solving and planning
+/// never reach operator new once warm. Converts to a plain std::vector for
+/// callers that keep their own copy.
+struct ChunkVector : PlanVector<Chunk> {
+  using PlanVector<Chunk>::PlanVector;
+  using PlanVector<Chunk>::operator=;
+  operator std::vector<Chunk>() const { return {begin(), end()}; }  // NOLINT
+};
+
 struct SplitResult {
-  std::vector<Chunk> chunks;   ///< non-empty chunks only, offsets consecutive
+  ChunkVector chunks;          ///< non-empty chunks only, offsets consecutive
   SimDuration makespan = 0;    ///< predicted completion (including ready offsets)
   unsigned iterations = 0;     ///< solver iterations actually used
   SimDuration imbalance = 0;   ///< max |finish_i - finish_j| over used rails
@@ -40,7 +50,7 @@ struct SplitResult {
   /// telemetry PredictionTracker compares against the fabric's actual chunk
   /// completions. Empty when a strategy hand-builds the result without
   /// going through a solver.
-  std::vector<SimDuration> finish_times;
+  PlanVector<SimDuration> finish_times;
 };
 
 struct DichotomyConfig {

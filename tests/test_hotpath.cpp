@@ -17,7 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/request_pool.hpp"
+#include "common/request_pool.hpp"
 #include "core/world.hpp"
 #include "fabric/buffer_pool.hpp"
 #include "fabric/event_queue.hpp"
@@ -79,6 +79,41 @@ TEST(HotPathAlloc, SteadyEagerPathIsAllocationFree) {
            "planned by "
         << strategy;
   }
+}
+
+/// Allocations across 16 lone `size`-byte eager sends under
+/// multicore-hetero-split, after 4 warm-up sends; `splits` gets the number
+/// of measured sends the strategy split across rails and cores.
+std::uint64_t lone_eager_allocs(std::size_t size, std::uint64_t& splits) {
+  World world(paper_testbed("multicore-hetero-split"));
+  std::vector<std::uint8_t> tx(size, 0x3c);
+  std::vector<std::uint8_t> rx(size);
+  const auto lone_send = [&](Tag tag) {
+    auto recv = world.engine(1).irecv(0, tag, rx.data(), size);
+    (void)world.engine(0).isend(1, tag, tx.data(), size);
+    world.wait(recv);
+    world.fabric().events().run_all();
+  };
+  for (Tag t = 0; t < 4; ++t) lone_send(t);
+
+  const std::uint64_t splits_before = world.engine(0).stats().split_eager_msgs;
+  const std::uint64_t before = perf::t_alloc_count;
+  for (Tag t = 4; t < 20; ++t) lone_send(t);
+  const std::uint64_t delta = perf::t_alloc_count - before;
+  splits = world.engine(0).stats().split_eager_msgs - splits_before;
+  return delta;
+}
+
+TEST(HotPathAlloc, LoneMediumEagerSplitIsAllocationFree) {
+  // A lone medium eager message takes multicore-hetero-split's split path
+  // (§III-D): the solver inputs, the equal-finish solve and the eager plan
+  // all live in recycled plan storage. 4 KiB is planned through the solver
+  // and sent whole; 16 KiB is split and offloaded.
+  perf::Profiler::set_enabled(false);
+  std::uint64_t splits = 0;
+  EXPECT_EQ(lone_eager_allocs(4_KiB, splits), 0u) << "allocations across 16 lone 4 KiB sends";
+  EXPECT_EQ(lone_eager_allocs(16_KiB, splits), 0u) << "allocations across 16 lone 16 KiB sends";
+  EXPECT_EQ(splits, 16u);
 }
 
 TEST(HotPathAlloc, ReliableEagerPathIsAllocationFreeAtZeroFaultRate) {
@@ -148,11 +183,11 @@ TEST(HotPathAlloc, RendezvousSteadyStateStaysWithinBudget) {
   const std::uint64_t per_msg = (perf::t_alloc_count - before) / kMsgs;
 
   // Rendezvous still pays for its bookkeeping maps (rdv_sends_,
-  // inbound_rdv_ with its coverage intervals, live_chunks_) and the solver's
-  // plan — but the payload buffers, requests, and event closures all
-  // recycle. This pins the budget so a new per-chunk or per-message
-  // allocation cannot land unnoticed.
-  EXPECT_LE(per_msg, 24u) << per_msg << " allocations per rendezvous message";
+  // inbound_rdv_ with its coverage intervals, live_chunks_), but the
+  // solver's plan, the chunks' borrowed payloads, requests, and event
+  // closures all recycle. This pins the budget so a new per-chunk or
+  // per-message allocation cannot land unnoticed.
+  EXPECT_LE(per_msg, 7u) << per_msg << " allocations per rendezvous message";
 }
 
 // --- plan storage ------------------------------------------------------------
