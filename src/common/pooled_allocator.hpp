@@ -1,9 +1,10 @@
 // Recycled storage for the vectors a planning pass returns.
 //
 // Every plan_eager and plan_rendezvous call, and every split solve, builds
-// fresh vectors that the caller drops once it has used them. PooledAllocator files each freed block on a free list
-// per power-of-two size class and hands it out again, so once the classes
-// are warm, planning never reaches operator new. Blocks are kept, never
+// fresh vectors that the caller drops once it has used them.
+// PooledAllocator files each freed block on a free list per power-of-two
+// size class and hands it out again, so once the classes are warm,
+// planning never reaches operator new. Blocks are kept, never
 // freed: the lists hold at most the peak number of live plan blocks. The
 // pool is an immortal leaked singleton, like fabric::BufferPool, so a vector
 // destroyed during static teardown still finds it. See docs/PERF.md.
