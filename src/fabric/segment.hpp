@@ -87,7 +87,7 @@ struct Segment {
     return payload;
   }
 
-  /// Borrows `len` bytes of `source` starting at `offset`.
+  /// Borrows `len` bytes of `source`, starting at this segment's `offset`.
   void lend(PayloadRef source, std::size_t len) {
     view = std::move(source);
     view_len = static_cast<std::uint32_t>(len);

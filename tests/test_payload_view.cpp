@@ -148,33 +148,44 @@ TEST(PayloadLoan, FailedSendLeavesItsViewsACopy) {
 }
 
 TEST(PayloadLoan, DuplicateAfterFinNeverReadsTheBuffer) {
-  WorldConfig cfg = paper_testbed("hetero-split");
-  // A slow rail 1: its duplicate trails the original by one wire latency,
-  // well after the FIN has crossed rail 0.
-  cfg.fabric.rails[1].wire_latency_us = 200.0;
-  World world(std::move(cfg));
-  constexpr std::size_t kSize = 256_KiB;
-  install(world, kSize);  // the whole message is one DATA chunk on rail 1
-  world.fabric().nic(0, 1).inject_fault(fault(fabric::FaultKind::kDup));
+  // With reliability on, the receiver checksums the duplicate before its
+  // sequence window drops it, so the late view is read: from the copy the
+  // ended loan left, never from the freed buffer.
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliability on" : "reliability off");
+    WorldConfig cfg = paper_testbed("hetero-split");
+    cfg.engine.reliability.enabled = reliable;
+    // A slow rail 1: its duplicate trails the original by one wire latency,
+    // well after the FIN has crossed rail 0.
+    cfg.fabric.rails[1].wire_latency_us = 200.0;
+    World world(std::move(cfg));
+    constexpr std::size_t kSize = 256_KiB;
+    install(world, kSize);  // the whole message is one DATA chunk on rail 1
+    world.fabric().nic(0, 1).inject_fault(fault(fabric::FaultKind::kDup));
 
-  const std::vector<std::uint8_t> pattern = test::make_pattern(kSize, 9);
-  auto tx = std::make_unique<std::uint8_t[]>(kSize);
-  std::memcpy(tx.get(), pattern.data(), kSize);
-  std::vector<std::uint8_t> rx(kSize, 0);
-  auto recv = world.engine(1).irecv(0, 1, rx.data(), kSize);
-  auto send = world.engine(0).isend(1, 1, tx.get(), kSize);
-  world.wait(send);
-  ASSERT_TRUE(recv->done());
-  EXPECT_EQ(world.engine(1).stats().duplicate_chunks, 0u) << "duplicate landed before the FIN";
-  // The duplicate was still in flight when the send completed.
-  EXPECT_EQ(world.engine(0).stats().payload_bytes_copied, kSize);
+    const std::vector<std::uint8_t> pattern = test::make_pattern(kSize, 9);
+    auto tx = std::make_unique<std::uint8_t[]>(kSize);
+    std::memcpy(tx.get(), pattern.data(), kSize);
+    std::vector<std::uint8_t> rx(kSize, 0);
+    auto recv = world.engine(1).irecv(0, 1, rx.data(), kSize);
+    auto send = world.engine(0).isend(1, 1, tx.get(), kSize);
+    world.wait(send);
+    ASSERT_TRUE(recv->done());
+    const EngineStats& rx_stats = world.engine(1).stats();
+    EXPECT_EQ(rx_stats.duplicate_chunks + rx_stats.rel_dup_suppressed, 0u)
+        << "duplicate landed before the FIN";
+    // The duplicate was still in flight when the send completed. (The
+    // reliability stash copied the chunk once more at post time.)
+    EXPECT_EQ(world.engine(0).stats().payload_bytes_copied, reliable ? 2 * kSize : kSize);
 
-  tx.reset();  // a completed send's buffer is the application's again
-  world.fabric().events().run_all();
+    tx.reset();  // a completed send's buffer is the application's again
+    world.fabric().events().run_all();
 
-  EXPECT_EQ(world.fabric().nic(0, 1).segments_duplicated(), 1u);
-  EXPECT_EQ(world.engine(1).stats().duplicate_chunks, 1u);
-  EXPECT_EQ(rx, pattern);
+    EXPECT_EQ(world.fabric().nic(0, 1).segments_duplicated(), 1u);
+    EXPECT_EQ(rx_stats.duplicate_chunks + rx_stats.rel_dup_suppressed, 1u);
+    EXPECT_EQ(rx_stats.rel_corruptions, 0u);  // the late copy checksums clean
+    EXPECT_EQ(rx, pattern);
+  }
 }
 
 }  // namespace
