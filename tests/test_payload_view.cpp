@@ -71,6 +71,8 @@ TEST(PayloadCopies, FaultFreeRendezvousCopiesEachByteOnce) {
   EXPECT_EQ(world.engine(0).stats().payload_bytes_copied, 0u);
   EXPECT_EQ(world.engine(1).stats().payload_bytes_copied, kSize);
   EXPECT_DOUBLE_EQ(static_cast<double>(bytes_copied(world)) / kSize, 1.0);
+  // A segment with its view still fits the NIC delivery closure inline.
+  EXPECT_EQ(world.fabric().events().handler_spills(), 0u);
 }
 
 TEST(PayloadCopies, EagerCopiesEachByteTwice) {
@@ -185,6 +187,7 @@ TEST(PayloadLoan, DuplicateAfterFinNeverReadsTheBuffer) {
     EXPECT_EQ(rx_stats.duplicate_chunks + rx_stats.rel_dup_suppressed, 1u);
     EXPECT_EQ(rx_stats.rel_corruptions, 0u);  // the late copy checksums clean
     EXPECT_EQ(rx, pattern);
+    EXPECT_EQ(world.fabric().events().handler_spills(), 0u);  // duplicate closure too
   }
 }
 
